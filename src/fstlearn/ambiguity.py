@@ -1,22 +1,31 @@
 """Ambiguity detection on (possibly merge-aliased) transducers.
 
-The search walks unordered state pairs of the machine squared with itself.
+The search walks unordered state pairs of the machine squared with itself
+(Béal, Carton, Prieur & Sakarovitch, "Squaring transducers", 2003).
 Pending merges are kept in a union-find and consulted when transitions are
 expanded, so states identified by a merge are interchangeable without
 rewriting the machine.  Two kinds of witness event are collected: a pair of
 distinct same-symbol edges reconverging on one state class, and a reachable
-pair of two distinct accepting classes.  Witness paths are rebuilt from
-back-pointers with outputs resolved at reconstruction time, so push-backs
-applied after discovery are reflected faithfully.
+pair of two distinct accepting classes.
+
+A union restarts the search from the root pair, and exploration resumes
+lazily.  Between two unions only push-backs change the view, and they change
+outputs only, so classes and acceptance stay fixed while one search runs.
+Every stored pair is therefore canonical, and every back-pointer points to a
+pair discovered earlier: the back-pointers form a tree rooted at the initial
+pair.  Witness paths are rebuilt along that tree with outputs resolved at
+reconstruction time, so push-backs applied after discovery are reflected
+faithfully.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Path, Transducer, Transition
+from .errors import InvariantError
 
 RawKey = tuple  # (src, symbol, dst) of the underlying machine
 
@@ -60,9 +69,9 @@ class QuotientView:
 
     __slots__ = ("base", "uf", "overlay", "_raw_out")
 
-    def __init__(self, base: Transducer, uf: Optional[UnionFind] = None):
+    def __init__(self, base: Transducer):
         self.base = base
-        self.uf = uf if uf is not None else UnionFind(base.states)
+        self.uf = UnionFind(base.states)
         self.overlay: dict[RawKey, str] = {}
         self._raw_out = {
             (tr.src, tr.symbol, tr.dst): tr.out for tr in base.transitions
@@ -138,8 +147,10 @@ class AmbiguousPathPair:
     raw_b: tuple[RawKey, ...]
 
     def __post_init__(self):
-        assert self.path_a.input_word == self.path_b.input_word
-        assert self.path_a.transitions != self.path_b.transitions
+        if self.path_a.input_word != self.path_b.input_word:
+            raise InvariantError("witness paths read different inputs")
+        if self.path_a.transitions == self.path_b.transitions:
+            raise InvariantError("witness paths are identical")
 
 
 def _pair(x: int, y: int) -> tuple[int, int]:
@@ -147,36 +158,32 @@ def _pair(x: int, y: int) -> tuple[int, int]:
 
 
 class PairSearchState:
-    """Reachable unordered class pairs of the squared machine, with
-    back-pointers and pending witness events."""
+    """Reachable unordered class pairs of the squared machine and pending
+    witness events.
+
+    ``reached`` maps each pair to its back-pointer: (parent pair, symbol, raw
+    key of the edge from the parent's first class, raw key of the edge from
+    its second), or None for the root pair.  A union restarts the search, so
+    the back-pointers always form a tree and a walk up from any pair reaches
+    the root in at most ``len(reached)`` steps.
+    """
 
     def __init__(self, view: QuotientView):
         self.view = view
-        root = _pair(view.initial_class(), view.initial_class())
-        self.reached: dict[tuple[int, int], int] = {root: 0}
-        self.backptr: dict[tuple[int, int], Optional[tuple]] = {root: None}
+        self._restart()
+
+    def _restart(self) -> None:
+        root = _pair(self.view.initial_class(), self.view.initial_class())
+        self.reached: dict[tuple[int, int], Optional[tuple]] = {root: None}
         self.frontier: deque = deque([root])
         self.events: list[tuple] = []
         self._cursor = 0
 
     # -- exploration ------------------------------------------------------
 
-    def _discover(self, pair, parent, sym, raw1, raw2):
-        if pair not in self.reached:
-            self.reached[pair] = len(self.reached)
-            self.backptr[pair] = (parent, sym, raw1, raw2)
-            self.frontier.append(pair)
-            p, q = pair
-            if p != q and self.view.class_accepting(p) and self.view.class_accepting(q):
-                self.events.append(("accept", pair))
-
     def expand_one(self) -> None:
         view = self.view
-        pair = self.frontier.popleft()
-        p, q = _pair(view.find(pair[0]), view.find(pair[1]))
-        pair = (p, q)
-        if pair not in self.reached:
-            return  # stale frontier entry
+        pair = p, q = self.frontier.popleft()
         edges_p = view.edges_from(p)
         if p == q:
             for i, e1 in enumerate(edges_p):
@@ -197,84 +204,48 @@ class PairSearchState:
         _, d2, _, raw2 = e2
         if diverging and d1 == d2:
             self.events.append(("reconverge", pair, sym, raw1, raw2))
-        self._discover(_pair(d1, d2), pair, sym, raw1, raw2)
+        child = _pair(d1, d2)
+        if child not in self.reached:
+            self.reached[child] = (pair, sym, raw1, raw2)
+            self.frontier.append(child)
+            view = self.view
+            if d1 != d2 and view.class_accepting(d1) and view.class_accepting(d2):
+                self.events.append(("accept", child))
 
     def explore(self) -> None:
         while self.frontier:
             self.expand_one()
 
-    # -- incremental update ------------------------------------------------
-
     def merge_update(self, keep: int, drop: int) -> "PairSearchState":
-        """Fold ``drop`` into ``keep`` and re-seed every pair whose expansion
-        may have changed: pairs touching the merged class and pairs with an
-        edge into it."""
-        view = self.view
-        rep = view.uf.union(keep, drop)
-        old = sorted(self.reached.items(), key=lambda kv: kv[1])
-        self.reached = {}
-        self.backptr, old_back = {}, self.backptr
-        for pair, idx in old:
-            canon = _pair(view.find(pair[0]), view.find(pair[1]))
-            if canon not in self.reached:
-                self.reached[canon] = idx
-                self.backptr[canon] = old_back[pair]
-        reseed = []
-        for pair in self.reached:
-            p, q = pair
-            if rep in pair:
-                reseed.append(pair)
-                continue
-            for cls in {p, q}:
-                if any(d == rep for _, d, _, _ in view.edges_from(cls)):
-                    reseed.append(pair)
-                    break
-        for pair in reseed:
-            self.frontier.append(pair)
-            p, q = pair
-            if p != q and view.class_accepting(p) and view.class_accepting(q):
-                self.events.append(("accept", pair))
+        """Fold ``drop`` into ``keep`` and restart the search from the root
+        pair; exploration is resumed lazily (call ``explore`` or
+        ``next_witness``)."""
+        self.view.uf.union(keep, drop)
+        self._restart()
         return self
 
     # -- witness extraction -------------------------------------------------
 
-    def _chain(self, pair) -> Optional[list[tuple]]:
+    def _thread(self, pair, last: Optional[tuple] = None) -> tuple[list, list]:
+        """The two sides of the walk from the root pair down the back-pointer
+        tree to ``pair``, then along ``last`` (symbol, raw key, raw key) if
+        given, as lists of (Transition, raw key)."""
+        steps = [] if last is None else [last]
+        entry = self.reached[pair]
+        while entry is not None:
+            parent, *step = entry
+            steps.append(step)
+            entry = self.reached[parent]
         view = self.view
-        steps = []
-        cur = _pair(view.find(pair[0]), view.find(pair[1]))
-        while True:
-            entry = self.backptr.get(cur)
-            if entry is None:
-                if cur in self.backptr:
-                    break
-                return None
-            parent, sym, raw1, raw2 = entry
-            steps.append((sym, raw1, raw2))
-            cur = _pair(view.find(parent[0]), view.find(parent[1]))
-        steps.reverse()
-        return steps
-
-    def _thread(self, steps) -> Optional[tuple[list, list, list, list]]:
-        """Assign each step's two raw edges to two coherent sides."""
-        view = self.view
-        start = view.initial_class()
-        sa = sb = start
-        path_a, path_b, keys_a, keys_b = [], [], [], []
-        for sym, raw1, raw2 in steps:
-            c1 = (view.find(raw1[0]), view.find(raw1[2]), view.out(raw1))
-            c2 = (view.find(raw2[0]), view.find(raw2[2]), view.out(raw2))
-            if c1[0] == sa and c2[0] == sb:
-                pass
-            elif c2[0] == sa and c1[0] == sb:
-                raw1, raw2, c1, c2 = raw2, raw1, c2, c1
-            else:
-                return None  # stale chain
-            path_a.append(Transition(sa, sym, c1[1], c1[2]))
-            path_b.append(Transition(sb, sym, c2[1], c2[2]))
-            keys_a.append(raw1)
-            keys_b.append(raw2)
-            sa, sb = c1[1], c2[1]
-        return path_a, path_b, keys_a, keys_b
+        sa = sb = view.initial_class()
+        side_a, side_b = [], []
+        for sym, raw1, raw2 in reversed(steps):
+            if view.find(raw1[0]) != sa:
+                raw1, raw2 = raw2, raw1
+            side_a.append((Transition(sa, sym, view.find(raw1[2]), view.out(raw1)), raw1))
+            side_b.append((Transition(sb, sym, view.find(raw2[2]), view.out(raw2)), raw2))
+            sa, sb = side_a[-1][0].dst, side_b[-1][0].dst
+        return side_a, side_b
 
     def _acceptance_extension(self, cls: int) -> Optional[list[tuple]]:
         """Shortest quotient path from ``cls`` to an accepting class, as
@@ -307,60 +278,27 @@ class PairSearchState:
         return ext
 
     def _build_witness(self, event) -> Optional[AmbiguousPathPair]:
-        view = self.view
         if event[0] == "accept":
-            pair = event[1]
-            p, q = view.find(pair[0]), view.find(pair[1])
-            if p == q:
-                return None
-            if not (view.class_accepting(p) and view.class_accepting(q)):
-                return None
-            steps = self._chain(pair)
-            if steps is None:
-                return None
-            threaded = self._thread(steps)
-            if threaded is None:
-                return None
-            path_a, path_b, keys_a, keys_b = threaded
+            side_a, side_b = self._thread(event[1])
         else:
             _, parent, sym, raw1, raw2 = event
-            c1 = (view.find(raw1[0]), view.find(raw1[2]), view.out(raw1))
-            c2 = (view.find(raw2[0]), view.find(raw2[2]), view.out(raw2))
+            view = self.view
+            c1, c2 = ((view.find(r[0]), view.out(r)) for r in (raw1, raw2))
+            # the edges share symbol and destination class by construction,
+            # but a push-back after their discovery can have fused them
             if c1 == c2:
-                return None  # edges fused since discovery
-            if c1[1] != c2[1]:
                 return None
-            steps = self._chain(parent)
-            if steps is None:
-                return None
-            threaded = self._thread(steps)
-            if threaded is None:
-                return None
-            path_a, path_b, keys_a, keys_b = threaded
-            sa = path_a[-1].dst if path_a else view.initial_class()
-            sb = path_b[-1].dst if path_b else view.initial_class()
-            if c1[0] == sa and c2[0] == sb:
-                pass
-            elif c2[0] == sa and c1[0] == sb:
-                raw1, raw2, c1, c2 = raw2, raw1, c2, c1
-            else:
-                return None
-            path_a.append(Transition(sa, sym, c1[1], c1[2]))
-            path_b.append(Transition(sb, sym, c2[1], c2[2]))
-            keys_a.append(raw1)
-            keys_b.append(raw2)
-            ext = self._acceptance_extension(c1[1])
+            ext = self._acceptance_extension(view.find(raw1[2]))
             if ext is None:
                 return None
-            for tr, raw in ext:
-                path_a.append(tr)
-                path_b.append(tr)
-                keys_a.append(raw)
-                keys_b.append(raw)
-        if tuple(path_a) == tuple(path_b):
-            return None
+            side_a, side_b = self._thread(parent, (sym, raw1, raw2))
+            side_a += ext
+            side_b += ext
         return AmbiguousPathPair(
-            Path(tuple(path_a)), Path(tuple(path_b)), tuple(keys_a), tuple(keys_b)
+            Path(tuple(tr for tr, _ in side_a)),
+            Path(tuple(tr for tr, _ in side_b)),
+            tuple(raw for _, raw in side_a),
+            tuple(raw for _, raw in side_b),
         )
 
     def next_witness(self) -> Optional[AmbiguousPathPair]:
@@ -390,12 +328,6 @@ def square_reach(t: Transducer, aliases=None) -> PairSearchState:
     st = PairSearchState(view)
     st.explore()
     return st
-
-
-def merge_update(st: PairSearchState, keep: int, drop: int) -> PairSearchState:
-    """Record a merge and re-seed the search; exploration is resumed lazily
-    (call ``explore`` or ``next_witness``)."""
-    return st.merge_update(keep, drop)
 
 
 def find_ambiguity(t: Transducer, st: PairSearchState) -> Optional[AmbiguousPathPair]:

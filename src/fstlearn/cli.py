@@ -6,19 +6,27 @@ followed by ``state <id> [accept]`` lines and ``trans <src> <sym> <dst>
 empty alphabet field).  Sample files: one ``input TAB output`` pair per line,
 empty field meaning the empty string.
 
-Exit codes: 0 success, 1 domain failure (rejected input, failed property,
-inconsistent data), 2 integrity failure (parse error, non-functional machine).
+Exit codes: 0 success, 1 domain failure (rejected input, symbol outside the
+alphabet, failed property, inconsistent data), 2 integrity failure (parse
+error, unreadable file, bad argument, non-functional machine).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, TextIO
+from typing import Optional
 
 from . import ambiguity, oracle, transform
 from .core import Transducer, transduce, trim, validate
-from .errors import ConfigurationError, ConflictError, FormatError, InconsistencyError
+from .errors import (
+    AlphabetError,
+    ConfigurationError,
+    ConflictError,
+    FormatError,
+    InconsistencyError,
+    ToolkitError,
+)
 from .infer import LearnerConfig, infer
 
 
@@ -61,6 +69,8 @@ def parse_machine(text: str) -> tuple[Transducer, Optional[str]]:
                     int(fields[3]),
                 )
             elif fields[0] == "state":
+                if len(fields) not in (2, 3):
+                    raise FormatError(f"line {lineno}: bad state")
                 states.append(int(fields[1]))
                 if len(fields) > 2:
                     if fields[2] != "accept":
@@ -72,6 +82,8 @@ def parse_machine(text: str) -> tuple[Transducer, Optional[str]]:
                 out = "" if fields[4] == "-" else fields[4]
                 transitions.append((int(fields[1]), fields[2], int(fields[3]), out))
             elif fields[0] == "epsilon-output":
+                if len(fields) != 2:
+                    raise FormatError(f"line {lineno}: bad epsilon-output")
                 epsilon_output = "" if fields[1] == "-" else fields[1]
             else:
                 raise FormatError(f"line {lineno}: unknown record {fields[0]!r}")
@@ -128,32 +140,17 @@ def _load_machine(path: str) -> tuple[Transducer, Optional[str]]:
 
 
 def cmd_learn(args) -> int:
-    try:
-        with open(args.samples, "r", encoding="utf-8") as fh:
-            pairs = parse_samples(fh.read())
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConflictError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.samples, "r", encoding="utf-8") as fh:
+        pairs = parse_samples(fh.read())
     cfg = LearnerConfig(max_merge_passes=args.max_passes, emit_trace=args.trace)
-    try:
-        model = infer(pairs, cfg)
-    except (ConflictError, InconsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model = infer(pairs, cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_machine(model.machine, model.epsilon_output))
     return 0
 
 
 def cmd_eval(args) -> int:
-    try:
-        machine, epsilon_output = _load_machine(args.machine)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    machine, epsilon_output = _load_machine(args.machine)
     if args.input == "" and epsilon_output is not None:
         print(epsilon_output)
         return 0
@@ -170,11 +167,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        machine, _ = _load_machine(args.machine)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    machine, _ = _load_machine(args.machine)
     ok = True
     if args.functional:
         report = oracle.check_functional_up_to(machine, args.max_len)
@@ -207,35 +200,23 @@ def _print_report(report: oracle.BoundedCheckReport) -> bool:
 
 
 def cmd_transform(args) -> int:
-    try:
-        machine, epsilon_output = _load_machine(args.machine)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.totalize is not None:
-            result = transform.totalize(machine, args.totalize)
-        elif args.disambiguate:
-            result = transform.disambiguate(machine)
-        else:
-            result = trim(machine)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    machine, epsilon_output = _load_machine(args.machine)
+    if args.totalize is not None:
+        result = transform.totalize(machine, args.totalize)
+    elif args.disambiguate:
+        result = transform.disambiguate(machine)
+    else:
+        result = trim(machine)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_machine(result, epsilon_output))
     return 0
 
 
 def cmd_gen_informant(args) -> int:
-    try:
-        machine, _ = _load_machine(args.machine)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    machine, _ = _load_machine(args.machine)
     try:
         pairs = oracle.generate_informant(machine, args.max_len)
-    except Exception as exc:
+    except ToolkitError as exc:  # a non-functional machine
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -244,13 +225,21 @@ def cmd_gen_informant(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    try:
-        machine, _ = _load_machine(args.machine)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    machine, _ = _load_machine(args.machine)
     sys.stdout.write(export_dot(machine))
     return 0
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples")
     p.add_argument("output")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--max-passes", type=int, default=1)
+    p.add_argument("--max-passes", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_learn)
 
     p = sub.add_parser("eval", help="run a machine on one input")
@@ -277,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", action="store_true")
     p.add_argument("--ambiguity", action="store_true")
     p.add_argument("--lpp", action="store_true")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_at_least(0), default=6)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("transform", help="apply a closure construction")
@@ -292,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-informant", help="dump the bounded relation")
     p.add_argument("machine")
     p.add_argument("output")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_at_least(0), required=True)
     p.set_defaults(fn=cmd_gen_informant)
 
     p = sub.add_parser("export-dot", help="print a graph description")
@@ -303,7 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (FormatError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ConflictError, InconsistencyError, ConfigurationError, AlphabetError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

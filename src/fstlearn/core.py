@@ -9,7 +9,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import AlphabetError
@@ -44,12 +44,6 @@ class Path:
     @property
     def end(self) -> int:
         return self.transitions[-1].dst
-
-    def states(self, start: int) -> list[int]:
-        seq = [start]
-        for t in self.transitions:
-            seq.append(t.dst)
-        return seq
 
 
 class Transducer:

@@ -34,3 +34,7 @@ class ConfigurationError(ToolkitError):
 
 class FormatError(ToolkitError):
     """A machine or sample file does not parse."""
+
+
+class InvariantError(ToolkitError):
+    """An internal invariant of the learner or the pair search was broken."""

@@ -4,7 +4,7 @@ length-lexicographic double loop of merge attempts."""
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Transducer, renumber, trim
@@ -13,20 +13,14 @@ from .merge import try_merge
 from .ptree import PTreeAnnotation, SampleSet, build_prefix_tree
 
 
-TIE_BREAK_OUTPUT_LEX = "output-length-lex"
-
-
 @dataclass
 class LearnerConfig:
     max_merge_passes: int = 1
-    order_tie_break: str = TIE_BREAK_OUTPUT_LEX
     emit_trace: bool = False
 
     def __post_init__(self):
         if self.max_merge_passes < 1:
             raise ValueError("max_merge_passes must be at least 1")
-        if self.order_tie_break != TIE_BREAK_OUTPUT_LEX:
-            raise ValueError(f"unknown tie-break rule {self.order_tie_break!r}")
 
 
 @dataclass

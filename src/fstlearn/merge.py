@@ -14,6 +14,7 @@ from typing import Optional
 
 from .ambiguity import AmbiguousPathPair, PairSearchState, QuotientView, RawKey
 from .core import Transducer
+from .errors import InvariantError
 
 ROOT_ASYMMETRY = "root_asymmetry"
 PUSHBACK_BLOCKED = "pushback_blocked"
@@ -57,7 +58,8 @@ def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
         return True
     view = session.view
     out = view.out(raw_key)
-    assert out.endswith(suffix)
+    if not out.endswith(suffix):
+        raise InvariantError(f"push-back of {suffix!r} off output {out!r}")
     src_cls = view.find(raw_key[0])
     dst_cls = view.find(raw_key[2])
     sym = raw_key[1]
@@ -128,12 +130,11 @@ def open_session(h: Transducer, a: int, b: int) -> MergeSession:
     return session
 
 
-def run_session(session: MergeSession, witness_cap: Optional[int] = None) -> bool:
+def run_session(session: MergeSession) -> bool:
     """Drive a session to its fixpoint.  True means the merge is consistent
     and the session can be committed; False leaves ``session.failure`` set."""
     view = session.view
-    if witness_cap is None:
-        witness_cap = 200 + 20 * len(view.base.transitions)
+    witness_cap = 200 + 20 * len(view.base.transitions)
     seen = 0
     while True:
         while session.pending:
@@ -161,7 +162,8 @@ def commit(session: MergeSession) -> Transducer:
     seen = {}
     for tr in machine.transitions:
         key = (tr.src, tr.symbol, tr.dst)
-        assert key not in seen, f"unresolved parallel edges at {key}"
+        if key in seen:
+            raise InvariantError(f"unresolved parallel edges at {key}")
         seen[key] = tr.out
     return machine
 

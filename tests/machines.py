@@ -121,6 +121,18 @@ PARITY_HASH = Transducer(
 )
 
 
+# Two-state deterministic total target whose informant of length 4 once made
+# the learner loop forever in witness reconstruction.
+HANG_REPRO = Transducer(
+    [0, 2],
+    "ab",
+    "xy",
+    0,
+    [0, 2],
+    [(0, "a", 0, ""), (0, "b", 2, ""), (2, "a", 2, ""), (2, "b", 0, "yx")],
+)
+
+
 def random_machine(rng: random.Random, max_states=5, sigma="ab", gamma="xy",
                    max_out=2) -> Transducer:
     """Random trim transducer; retries until the trim result is nonempty."""

@@ -7,7 +7,7 @@ calibration.  Run with ``pytest tests/test_acceptance.py -v -s``.
 import random
 import time
 
-from fstlearn.ambiguity import find_ambiguity, merge_update, square_reach
+from fstlearn.ambiguity import find_ambiguity, square_reach
 from fstlearn.core import Transducer, transduce, trim
 from fstlearn.infer import infer
 from fstlearn.oracle import (
@@ -134,7 +134,7 @@ def test_criterion_5_incremental_squaring():
         for _ in range(rng.randint(1, 4)):
             a, b = rng.sample(states, 2)
             merges.append((a, b))
-            incremental = merge_update(incremental, a, b)
+            incremental.merge_update(a, b)
             incremental.explore()
             scratch = square_reach(t, aliases=list(merges))
             find = incremental.view.find

@@ -1,15 +1,16 @@
-"""Squared-automaton reachability, witnesses, incremental merge updates."""
+"""Squared-automaton reachability, witnesses, merge updates."""
 
 import random
 
+import pytest
+
 from fstlearn.ambiguity import (
-    PairSearchState,
-    QuotientView,
+    AmbiguousPathPair,
     find_ambiguity,
-    merge_update,
     square_reach,
 )
-from fstlearn.core import Transducer, trim
+from fstlearn.core import Path, Transducer, Transition, trim
+from fstlearn.errors import InvariantError
 from fstlearn.oracle import accepting_paths, words_up_to
 
 from machines import random_machine
@@ -121,7 +122,7 @@ def test_merge_update_adds_sibling_pairs():
     ))
     st = square_reach(t)
     assert (1, 3) in st.reached
-    st = merge_update(st, 1, 2)
+    st.merge_update(1, 2)
     st.explore()
     # 2 folded into 1, so the pair {1,3} now also explores 2's edges
     canon = {(min(a, b), max(a, b)) for a, b in st.reached}
@@ -141,7 +142,7 @@ def test_merge_update_of_untouched_states_changes_nothing():
     )
     st2 = square_reach(t2)
     reached_before = {p for p in st2.reached}
-    st2 = merge_update(st2, 1, 2)
+    st2.merge_update(1, 2)
     st2.explore()
     canon = {(min(st2.view.find(a), st2.view.find(b)),
               max(st2.view.find(a), st2.view.find(b))) for a, b in reached_before}
@@ -165,7 +166,7 @@ def test_incremental_equals_from_scratch_on_random_machines():
         for _ in range(rng.randint(1, 3)):
             a, b = rng.sample(states, 2)
             merges.append((a, b))
-            incremental = merge_update(incremental, a, b)
+            incremental.merge_update(a, b)
             incremental.explore()
             scratch = square_reach(t, aliases=list(merges))
             assert _canonical_reached(incremental) == _canonical_reached(scratch)
@@ -187,3 +188,9 @@ def test_oracle_agreement_on_random_machines():
         assert verdict == brute, t
         agree += 1
     assert agree == 100
+
+
+def test_witness_with_identical_paths_is_an_invariant_error():
+    path = Path((Transition(0, "a", 1, "x"),))
+    with pytest.raises(InvariantError):
+        AmbiguousPathPair(path, path, ((0, "a", 1),), ((0, "a", 1),))

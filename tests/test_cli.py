@@ -248,3 +248,46 @@ def test_commands_are_deterministic(tmp_path):
     assert main(["learn", str(samples), str(out1)]) == 0
     assert main(["learn", str(samples), str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+def test_cmd_eval_symbol_outside_alphabet(tmp_path, capsys):
+    machine = tmp_path / "m.fst"
+    t = Transducer([0, 1], "ab", "x", 0, [1], [(0, "a", 1, "x")])
+    write(machine, serialize_machine(t))
+    assert main(["eval", str(machine), "--input", "ac"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cmd_missing_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main(["eval", missing, "--input", "a"]) == 2
+    assert main(["learn", missing, str(tmp_path / "out.fst")]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_cmd_undecodable_file(tmp_path, capsys):
+    machine = tmp_path / "m.fst"
+    machine.write_bytes(b"\xff\xfe\n")
+    assert main(["eval", str(machine), "--input", "a"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "m.fst", "--functional", "--max-len", "-1"],
+        ["gen-informant", "m.fst", "s.tsv", "--max-len", "-3"],
+        ["learn", "s.tsv", "m.fst", "--max-passes", "0"],
+    ],
+)
+def test_cmd_rejects_out_of_range_bounds(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", ["epsilon-output", "state"])
+def test_parse_machine_bare_record(record):
+    with pytest.raises(FormatError, match=f"line 3: bad {record}"):
+        parse_machine(f"fst a x 0\nstate 0 accept\n{record}\n")

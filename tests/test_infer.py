@@ -133,3 +133,11 @@ def test_infer_random_conforming_sample_sets_stay_consistent():
 def test_learner_config_validation():
     with pytest.raises(ValueError):
         LearnerConfig(max_merge_passes=0)
+
+
+def test_second_merge_pass_reaches_the_minimal_parity_machine():
+    # one pass leaves 4 states here; the second pass merges down to 3
+    informant = generate_informant(PARITY_HASH, 6)
+    model = infer(informant, LearnerConfig(max_merge_passes=2))
+    assert len(model.machine.states) == 3
+    assert equivalent_up_to(PARITY_HASH, model.machine, 8).verdict
