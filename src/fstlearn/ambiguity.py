@@ -8,6 +8,14 @@ rewriting the machine.  Two kinds of witness event are collected: a pair of
 distinct same-symbol edges reconverging on one state class, and a reachable
 pair of two distinct accepting classes.
 
+``QuotientView`` caches each class's sorted edge list and keeps each class's
+incoming raw transitions and acceptance up to date.  A union invalidates the
+edge lists of the two classes and of every class with an edge into the one
+folded away; a push-back's output write invalidates the edge list of the
+written edge's source class.  Unions and output writes go only through the
+view's ``union`` and ``set_out``, so no cached list outlives the facts it was
+built from.
+
 A union restarts the search from the root pair, and exploration resumes
 lazily.  Between two unions only push-backs change the view, and they change
 outputs only, so classes and acceptance stay fixed while one search runs.
@@ -64,48 +72,92 @@ class QuotientView:
     """The machine seen through an alias map plus an output overlay.
 
     The base transducer is never mutated; push-backs record new outputs in
-    ``overlay`` keyed by raw (src, symbol, dst) triples.
+    ``overlay`` keyed by raw (src, symbol, dst) triples.  Every change goes
+    through ``union`` or ``set_out``, which keep three per-class facts
+    current instead of recomputing them on each call:
+
+    - the sorted edge list of ``edges_from``, built on a miss.  ``union``
+      drops the entries of both classes and of every class with an edge into
+      the dropped one, whose destinations and dedup change; ``set_out`` drops
+      the entry of the source class of the written key.
+    - the raw keys entering each class, built once from the base machine;
+      ``union`` merges the two lists, the smaller into the larger (Hopcroft &
+      Karp, "A linear algorithm for testing equivalence of finite automata",
+      1971).  It finds the classes to invalidate and answers
+      ``incoming_edges``.
+    - the set of accepting classes, updated by ``union``.
     """
 
-    __slots__ = ("base", "uf", "overlay", "_raw_out")
+    __slots__ = ("base", "uf", "overlay", "_raw_out", "_edges", "_incoming", "_accepting")
 
     def __init__(self, base: Transducer):
         self.base = base
         self.uf = UnionFind(base.states)
         self.overlay: dict[RawKey, str] = {}
-        self._raw_out = {
-            (tr.src, tr.symbol, tr.dst): tr.out for tr in base.transitions
-        }
+        self._raw_out: dict[RawKey, str] = {}
+        self._edges: dict[int, tuple] = {}
+        self._incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
+        for tr in base.transitions:
+            key = (tr.src, tr.symbol, tr.dst)
+            self._raw_out[key] = tr.out
+            self._incoming[tr.dst].append(key)
+        self._accepting = set(base.accepting)
 
     def find(self, q: int) -> int:
         return self.uf.find(q)
 
+    def union(self, a: int, b: int) -> int:
+        """Merge the classes of ``a`` and ``b``; returns the surviving class."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        keep = self.uf.union(ra, rb)
+        drop = rb if keep == ra else ra
+        into_keep, into_drop = self._incoming[keep], self._incoming.pop(drop)
+        for src, _, _ in into_drop:
+            self._edges.pop(self.find(src), None)
+        self._edges.pop(keep, None)
+        self._edges.pop(drop, None)
+        if len(into_keep) < len(into_drop):
+            into_keep, into_drop = into_drop, into_keep
+        into_keep += into_drop
+        self._incoming[keep] = into_keep
+        if drop in self._accepting:
+            self._accepting.discard(drop)
+            self._accepting.add(keep)
+        return keep
+
     def out(self, key: RawKey) -> str:
         return self.overlay.get(key, self._raw_out[key])
 
-    def class_accepting(self, cls: int) -> bool:
-        return any(q in self.base.accepting for q in self.uf.members[cls])
+    def set_out(self, key: RawKey, out: str) -> None:
+        """Record a new output for one raw transition."""
+        self.overlay[key] = out
+        self._edges.pop(self.find(key[0]), None)
 
-    def edges_from(self, cls: int) -> list[tuple[str, int, str, RawKey]]:
+    def class_accepting(self, cls: int) -> bool:
+        return cls in self._accepting
+
+    def edges_from(self, cls: int) -> tuple[tuple[str, int, str, RawKey], ...]:
         """Distinct quotient edges (symbol, dst class, output, representative
         raw key) leaving a class, sorted."""
-        seen: dict[tuple[str, int, str], RawKey] = {}
-        for q in self.uf.members[cls]:
-            for sym, dst, _ in self.base.arcs_from(q):
-                key = (q, sym, dst)
-                edge = (sym, self.uf.find(dst), self.out(key))
-                if edge not in seen or key < seen[edge]:
-                    seen[edge] = key
-        return sorted((s, d, o, seen[(s, d, o)]) for (s, d, o) in seen)
+        edges = self._edges.get(cls)
+        if edges is None:
+            seen: dict[tuple[str, int, str], RawKey] = {}
+            for q in self.uf.members[cls]:
+                for sym, dst, _ in self.base.arcs_from(q):
+                    key = (q, sym, dst)
+                    edge = (sym, self.uf.find(dst), self.out(key))
+                    if edge not in seen or key < seen[edge]:
+                        seen[edge] = key
+            edges = self._edges[cls] = tuple(
+                sorted((s, d, o, seen[(s, d, o)]) for (s, d, o) in seen)
+            )
+        return edges
 
     def incoming_edges(self, cls: int) -> set[tuple[int, str, str]]:
         """Distinct quotient edges (src class, symbol, output) entering a class."""
-        found = set()
-        for tr in self.base.transitions:
-            if self.uf.find(tr.dst) == cls:
-                key = (tr.src, tr.symbol, tr.dst)
-                found.add((self.uf.find(tr.src), tr.symbol, self.out(key)))
-        return found
+        return {(self.find(key[0]), key[1], self.out(key)) for key in self._incoming[cls]}
 
     def preimages(self, src_cls: int, sym: str, dst_cls: int, out: str) -> list[RawKey]:
         keys = []
@@ -220,7 +272,7 @@ class PairSearchState:
         """Fold ``drop`` into ``keep`` and restart the search from the root
         pair; exploration is resumed lazily (call ``explore`` or
         ``next_witness``)."""
-        self.view.uf.union(keep, drop)
+        self.view.union(keep, drop)
         self._restart()
         return self
 
@@ -324,7 +376,7 @@ def square_reach(t: Transducer, aliases=None) -> PairSearchState:
     if aliases:
         items = aliases.items() if hasattr(aliases, "items") else aliases
         for a, b in items:
-            view.uf.union(a, b)
+            view.union(a, b)
     st = PairSearchState(view)
     st.explore()
     return st

@@ -83,7 +83,7 @@ def infer(
                     break
                 if inner not in hypothesis.states:
                     continue
-                merged = try_merge(hypothesis, inner, outer, ann, trace=trace)
+                merged = try_merge(hypothesis, inner, outer, trace=trace)
                 if cfg.emit_trace and trace is not None:
                     _echo_trace_entry(trace[-1])
                 if merged is not None:

@@ -69,11 +69,11 @@ def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
     if len(incoming) != 1:
         return False
     for key in view.preimages(src_cls, sym, dst_cls, out):
-        view.overlay[key] = out[: -len(suffix)]
+        view.set_out(key, out[: -len(suffix)])
     for member in view.uf.members[dst_cls]:
         for s, dst, _ in view.base.arcs_from(member):
             key = (member, s, dst)
-            view.overlay[key] = suffix + view.out(key)
+            view.set_out(key, suffix + view.out(key))
     session.push_log.append(
         PushBack((src_cls, sym, dst_cls, out), suffix, False, len(incoming))
     )
@@ -172,7 +172,6 @@ def try_merge(
     h: Transducer,
     a: int,
     b: int,
-    ann=None,
     trace: Optional[list] = None,
 ) -> Optional[Transducer]:
     """Attempt to identify states ``a`` and ``b`` (a < b) of ``h``.

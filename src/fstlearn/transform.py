@@ -18,9 +18,6 @@ class PowersetState(NamedTuple):
     base: int
     context: frozenset
 
-    def check(self) -> None:
-        assert self.base in self.context
-
 
 @dataclass(frozen=True)
 class Nfa:
@@ -181,7 +178,6 @@ def disambiguate(t: Transducer) -> Transducer:
     edges: list[tuple[int, str, int, str]] = []
     while queue:
         node = queue.popleft()
-        node.check()
         sid = ids[node]
         for sym in sorted(t.input_alphabet):
             ctx2 = image(node.context, sym)

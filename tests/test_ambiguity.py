@@ -6,12 +6,15 @@ import pytest
 
 from fstlearn.ambiguity import (
     AmbiguousPathPair,
+    QuotientView,
     find_ambiguity,
     square_reach,
 )
-from fstlearn.core import Path, Transducer, Transition, trim
+from fstlearn.core import Path, Transducer, Transition, transduce, trim
 from fstlearn.errors import InvariantError
+from fstlearn.merge import open_session, push_back
 from fstlearn.oracle import accepting_paths, words_up_to
+from fstlearn.ptree import SampleSet, build_prefix_tree
 
 from machines import random_machine
 
@@ -170,6 +173,59 @@ def test_incremental_equals_from_scratch_on_random_machines():
             incremental.explore()
             scratch = square_reach(t, aliases=list(merges))
             assert _canonical_reached(incremental) == _canonical_reached(scratch)
+
+
+def _scanned_incoming(view, cls):
+    return {
+        (view.find(tr.src), tr.symbol, view.out((tr.src, tr.symbol, tr.dst)))
+        for tr in view.base.transitions
+        if view.find(tr.dst) == cls
+    }
+
+
+def test_indexed_view_matches_a_fresh_view_under_unions_and_push_backs():
+    # Every class's cached edges are compared after every step, so each later
+    # union or push-back meets a full cache that it must invalidate.  Random
+    # machines give cyclic bases; prefix trees of their samples give bases
+    # where push-backs are legal (one incoming edge, non-accepting target).
+    rng = random.Random(59)
+    pushed = 0
+    for _ in range(30):
+        t = random_machine(rng, max_states=6)
+        samples = {}
+        for word in words_up_to(t.input_alphabet, 4):
+            outs = transduce(t, word)
+            if outs:
+                samples[word] = min(outs)
+        tree, _ = build_prefix_tree(SampleSet(samples.items()))
+        for base in (t, tree):
+            states = sorted(base.states)
+            session = open_session(base, states[0], states[0])
+            view = session.view
+            keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
+            unions = []
+            for _ in range(10):
+                if rng.random() < 0.3 and len(states) > 1:
+                    a, b = rng.sample(states, 2)
+                    view.union(a, b)
+                    unions.append((a, b))
+                else:
+                    key = rng.choice(keys)
+                    out = view.out(key)
+                    if out:
+                        pushed += push_back(session, key, out[rng.randrange(len(out)):])
+                fresh = QuotientView(base)
+                for a, b in unions:
+                    fresh.union(a, b)
+                for key, out in view.overlay.items():
+                    fresh.set_out(key, out)
+                for cls in view.uf.classes():
+                    assert view.edges_from(cls) == fresh.edges_from(cls)
+                    assert view.class_accepting(cls) == any(
+                        q in base.accepting for q in view.uf.members[cls]
+                    )
+                    assert view.incoming_edges(cls) == _scanned_incoming(view, cls)
+    assert pushed >= 20
 
 
 def brute_force_ambiguous(t: Transducer, max_len: int) -> bool:

@@ -25,13 +25,13 @@ def tree_of(pairs):
 
 
 def test_merge_conflicting_outputs_fails():
-    tree, ann = tree_of([("a", "x"), ("aa", "y")])
-    assert try_merge(tree, 0, 1, ann) is None
+    tree, _ = tree_of([("a", "x"), ("aa", "y")])
+    assert try_merge(tree, 0, 1) is None
 
 
 def test_merge_loop_succeeds():
-    tree, ann = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx")])
-    merged = try_merge(tree, 0, 1, ann)
+    tree, _ = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx")])
+    merged = try_merge(tree, 0, 1)
     assert merged is not None
     assert len(merged.states) == 1
     assert merged.accepting == {0}
@@ -41,9 +41,9 @@ def test_merge_loop_succeeds():
 
 def test_merge_of_compatible_disjoint_states():
     # two leaves with empty residual conflicts merge without push-backs
-    tree, ann = tree_of([("a", "x"), ("b", "y")])
+    tree, _ = tree_of([("a", "x"), ("b", "y")])
     trace = []
-    merged = try_merge(tree, 1, 2, ann, trace=trace)
+    merged = try_merge(tree, 1, 2, trace=trace)
     assert merged is not None
     assert trace[-1]["kind"] == "merge_committed"
     assert trace[-1]["push_log"] == []
@@ -52,16 +52,16 @@ def test_merge_of_compatible_disjoint_states():
 
 
 def test_failed_merge_leaves_hypothesis_untouched():
-    tree, ann = tree_of([("a", "x"), ("aa", "y")])
+    tree, _ = tree_of([("a", "x"), ("aa", "y")])
     snapshot = (tree.states, tree.transitions, tree.accepting)
-    assert try_merge(tree, 0, 1, ann) is None
+    assert try_merge(tree, 0, 1) is None
     assert (tree.states, tree.transitions, tree.accepting) == snapshot
 
 
 def test_committed_merges_preserve_accepted_inputs():
     for name, target, m in BATTERY[:4]:
         informant = generate_informant(trim(target), 2 * m)
-        tree, ann = build_prefix_tree(SampleSet(informant))
+        tree, _ = build_prefix_tree(SampleSet(informant))
         max_len = max(len(i) for i, _ in informant)
         order = sorted(tree.states)
         h = tree
@@ -74,7 +74,7 @@ def test_committed_merges_preserve_accepted_inputs():
                     break
                 if inner not in h.states:
                     continue
-                merged = try_merge(h, inner, outer, ann)
+                merged = try_merge(h, inner, outer)
                 if merged is not None:
                     for word in words_up_to(h.input_alphabet, max_len + 2):
                         before = transduce(h, word)
@@ -87,8 +87,8 @@ def test_committed_merges_preserve_accepted_inputs():
 
 
 def test_committed_merge_strictly_shrinks_state_count():
-    tree, ann = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx")])
-    merged = try_merge(tree, 0, 1, ann)
+    tree, _ = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx")])
+    merged = try_merge(tree, 0, 1)
     assert merged is not None
     assert len(merged.states) < len(tree.states)
 
@@ -219,7 +219,7 @@ def test_pushback_blocked_on_multiple_incoming():
 
 
 def test_push_log_records_only_legal_operations():
-    tree, ann = tree_of([("a", "x"), ("ab", "xy"), ("aa", "xx"), ("aab", "xxy")])
+    tree, _ = tree_of([("a", "x"), ("ab", "xy"), ("aa", "xx"), ("aab", "xxy")])
     trace = []
     order = sorted(tree.states)
     h = tree
@@ -231,7 +231,7 @@ def test_push_log_records_only_legal_operations():
                 break
             if inner not in h.states:
                 continue
-            merged = try_merge(h, inner, outer, ann, trace=trace)
+            merged = try_merge(h, inner, outer, trace=trace)
             if merged is not None:
                 h = merged
                 break
