@@ -7,12 +7,13 @@ from .core import (
     Transducer,
     Transition,
     configuration_after,
+    lcp,
     transduce,
     trim,
     validate,
 )
 from .infer import LearnedModel, LearnerConfig, infer, split_epsilon, state_order
-from .ptree import SampleSet, build_prefix_tree, build_star, derivative, lcp
+from .ptree import SampleSet, build_prefix_tree, build_star, derivative
 
 __all__ = [
     "Configuration",

@@ -173,13 +173,17 @@ def cmd_check(args) -> int:
         report = oracle.check_functional_up_to(machine, args.max_len)
         ok &= _print_report(report)
     if args.ambiguity:
-        st = ambiguity.square_reach(trim(machine))
-        witness = ambiguity.find_ambiguity(trim(machine), st)
+        trimmed = trim(machine)
+        witness = ambiguity.find_ambiguity(trimmed, ambiguity.square_reach(trimmed))
         if witness is None:
             print("ambiguity: pass")
         else:
             ok = False
-            print(f"ambiguity: FAIL input={witness.path_a.input_word!r}")
+            print(
+                f"ambiguity: FAIL input={witness.path_a.input_word!r} "
+                f"output_a={witness.path_a.output_word!r} "
+                f"output_b={witness.path_b.output_word!r}"
+            )
     if args.lpp:
         report = oracle.check_local_prefix_preservation_up_to(
             trim(machine), args.max_len

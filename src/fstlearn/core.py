@@ -4,13 +4,21 @@ A transducer here is a finite-state machine whose transitions each carry one
 input symbol and an output string.  The same value type is used for learned
 hypotheses, hand-built targets, and prefix trees.  Values are immutable after
 construction and safe to share between threads.
+
+Evaluation (``configuration_after``, ``transduce``) folds the input through a
+normalised configuration: the output prefix that every live run shares is
+moved out into the emitted output, and each run keeps only its delay, the
+rest of its pending output (the residual outputs of Mohri's determinisation,
+1997).  Steps are memoised per call on (configuration, symbol); the memo is
+dropped whenever what it holds outgrows the input.  For runs of bounded delay
+a call is thus linear in the lengths of the input and the output.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import AlphabetError
 
@@ -125,22 +133,76 @@ class Transducer:
 Configuration = frozenset  # of (state, pending output) pairs
 
 
+def lcp(strings: Collection[str]) -> str:
+    """Longest common prefix of a nonempty collection of strings.
+
+    It is the common prefix of the lexicographically least and greatest
+    members, so only those two are compared character by character.
+    """
+    if not strings:
+        raise ValueError("lcp of an empty set is undefined")
+    lo, hi = min(strings), max(strings)
+    k = 0
+    while k < len(lo) and lo[k] == hi[k]:
+        k += 1
+    return lo[:k]
+
+
 def configuration_after(t: Transducer, inp: str) -> Configuration:
     """Set of (state, pending output) pairs reachable over ``inp``.
 
     Starts from {(initial, "")} and folds each input symbol through every
-    matching transition.
+    matching transition.  The fold keeps the configuration normalised: after
+    each symbol the longest common prefix of the live runs' pending outputs
+    is moved into a list of emitted chunks, and only each run's delay (the
+    rest of its pending output) stays in a frozenset of (state, suffix)
+    pairs.  Deduplicating on (state, suffix) is the same as deduplicating on
+    (state, full output), since every run shares the emitted prefix, which is
+    joined back onto each suffix at the end.
+
+    Steps are memoised for the duration of the call, keyed on (normalised
+    configuration, symbol), so a machine whose live runs keep a bounded delay
+    revisits a few configurations and pays one dict lookup per symbol: the
+    call is linear in the lengths of the input and the output.  The memo is
+    dropped whenever the pairs and characters of the configurations it stores
+    exceed ``len(inp)``, so on a machine whose delay grows without bound it
+    always misses but keeps memory at O(|input| + |output|).
+
+    Raises ``AlphabetError`` naming the first symbol of ``inp`` outside the
+    input alphabet, even where the runs have already died before it.
     """
-    cur = {(t.initial, "")}
+    if not t.input_alphabet.issuperset(inp):
+        bad = next(sym for sym in inp if sym not in t.input_alphabet)
+        raise AlphabetError(f"symbol {bad!r} not in input alphabet")
+    adj = t._adj
+    emitted = []
+    conf = frozenset({(t.initial, "")})
+    memo: dict = {}
+    held = 0
     for sym in inp:
-        if sym not in t.input_alphabet:
-            raise AlphabetError(f"symbol {sym!r} not in input alphabet")
-        nxt = set()
-        for state, pending in cur:
-            for dst, out in t._adj.get(state, {}).get(sym, []):
-                nxt.add((dst, pending + out))
-        cur = nxt
-    return frozenset(cur)
+        step = memo.get((conf, sym))
+        if step is None:
+            nxt = set()
+            for state, pending in conf:
+                for dst, out in adj.get(state, {}).get(sym, ()):
+                    nxt.add((dst, pending + out))
+            if not nxt:
+                return frozenset()
+            suffixes = [pending for _, pending in nxt]
+            chunk = lcp(suffixes)
+            if chunk:
+                k = len(chunk)
+                nxt = {(state, pending[k:]) for state, pending in nxt}
+            if held > len(inp):
+                memo.clear()
+                held = 0
+            held += len(suffixes) + sum(map(len, suffixes))
+            step = memo[conf, sym] = (chunk, frozenset(nxt))
+        chunk, conf = step
+        if chunk:
+            emitted.append(chunk)
+    prefix = "".join(emitted)
+    return frozenset((state, prefix + pending) for state, pending in conf)
 
 
 def transduce(t: Transducer, inp: str) -> frozenset:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Transducer
+from .core import Transducer, lcp
 from .errors import ConflictError, InconsistencyError, ToolkitError
 
 
@@ -85,24 +85,6 @@ def derivative(s: SampleSet, sigma: str, gamma: str) -> SampleSet:
         if inp.startswith(sigma) and inp != "" and out.startswith(gamma):
             rest[inp[len(sigma):]] = out[len(gamma):]
     return SampleSet(_raw=rest)
-
-
-def lcp(strings: Iterable[str]) -> str:
-    """Longest common prefix of a nonempty collection of strings."""
-    it = iter(strings)
-    try:
-        prefix = next(it)
-    except StopIteration:
-        raise ValueError("lcp of an empty set is undefined")
-    for s in it:
-        limit = min(len(prefix), len(s))
-        k = 0
-        while k < limit and prefix[k] == s[k]:
-            k += 1
-        prefix = prefix[:k]
-        if not prefix:
-            break
-    return prefix
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,32 @@ HANG_REPRO = Transducer(
 )
 
 
+# Functional and unambiguous but not subsequential: a word goes to x^|w| if it
+# ends in a and to y^|w| otherwise.  Both branches stay live to the end, so
+# their pending outputs x^k and y^k share no prefix and the delay is |w|.
+LAST_LETTER = Transducer(
+    range(5),
+    "ab",
+    "xy",
+    0,
+    [0, 1, 4],
+    [
+        (0, "a", 1, "x"),
+        (0, "b", 2, "x"),
+        (1, "a", 1, "x"),
+        (1, "b", 2, "x"),
+        (2, "a", 1, "x"),
+        (2, "b", 2, "x"),
+        (0, "a", 3, "y"),
+        (0, "b", 4, "y"),
+        (3, "a", 3, "y"),
+        (3, "b", 4, "y"),
+        (4, "a", 3, "y"),
+        (4, "b", 4, "y"),
+    ],
+)
+
+
 def random_machine(rng: random.Random, max_states=5, sigma="ab", gamma="xy",
                    max_out=2) -> Transducer:
     """Random trim transducer; retries until the trim result is nonempty."""

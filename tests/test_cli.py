@@ -158,6 +158,15 @@ def test_cmd_check_flags_ambiguity(tmp_path, capsys):
     write(machine, serialize_machine(ambiguous))
     assert main(["check", str(machine), "--ambiguity"]) == 1
     assert "FAIL" in capsys.readouterr().out
+    # two runs with different outputs: the line names both
+    two_outputs = Transducer(
+        [0, 1, 2], "a", "xy", 0, [1, 2], [(0, "a", 1, "x"), (0, "a", 2, "y")]
+    )
+    write(machine, serialize_machine(two_outputs))
+    assert main(["check", str(machine), "--ambiguity"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("ambiguity: FAIL input='a' ")
+    assert sorted(re.findall(r"output_[ab]=('\w*')", out)) == ["'x'", "'y'"]
 
 
 def test_cmd_check_zero_bound_vacuous(tmp_path, capsys):

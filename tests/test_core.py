@@ -1,6 +1,8 @@
 """Transducer model, evaluation, trimming, validation."""
 
+import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,7 +17,7 @@ from fstlearn.core import (
 from fstlearn.errors import AlphabetError
 from fstlearn.oracle import accepting_paths, path_outputs, words_up_to
 
-from machines import random_machine, random_mostly_deterministic
+from machines import LAST_LETTER, random_machine, random_mostly_deterministic
 
 
 def test_transduce_single_path():
@@ -46,6 +48,15 @@ def test_transduce_unknown_symbol():
     t = Transducer([0], "a", "x", 0, [0], [])
     with pytest.raises(AlphabetError):
         transduce(t, "q")
+
+
+def test_alphabet_error_names_the_first_foreign_symbol_after_the_runs_die():
+    t = Transducer([0, 1], "ab", "x", 0, [1], [(0, "a", 1, "x")])
+    # "bb" leaves no live run before the two foreign symbols
+    with pytest.raises(AlphabetError, match="'q'"):
+        configuration_after(t, "bbqz")
+    with pytest.raises(AlphabetError, match="'z'"):
+        configuration_after(t, "bbzq")
 
 
 def test_configuration_empty_input_is_initial_singleton():
@@ -157,3 +168,70 @@ def test_renumber_preserves_relation():
         assert r.states == frozenset(range(len(t.states)))
         for word in words_up_to(t.input_alphabet, 4):
             assert transduce(t, word) == transduce(r, word)
+
+
+def reference_configurations(t, inp):
+    """Configurations after each prefix of ``inp``, by the plain fold that
+    appends each transition's output to every run's whole pending output.
+    The reference for ``configuration_after``; it uses nothing of ``core``
+    but the machine's arcs."""
+    cur = {(t.initial, "")}
+    yield frozenset(cur)
+    for sym in inp:
+        nxt = set()
+        for state, pending in cur:
+            for _, dst, out in t.arcs_from(state, sym):
+                nxt.add((dst, pending + out))
+        cur = nxt
+        yield frozenset(cur)
+
+
+def test_configuration_after_matches_the_concatenating_fold_on_long_words():
+    """Random words of 20-60 symbols, so that normalised configurations with
+    a non-empty delay repeat within a word and the step memo is hit.  A
+    non-functional machine's configuration can double with every symbol;
+    words whose configuration passes 200 pairs are left out, as both
+    evaluators are exponential there."""
+    rng = random.Random(29)
+    alive = delayed_repeats = nonfunctional = 0
+    for make in (random_machine, random_mostly_deterministic):
+        for _ in range(40):
+            t = make(rng)
+            for _ in range(10):
+                n = rng.randint(20, 60)
+                word = "".join(rng.choice("ab") for _ in range(n))
+                seen = set()
+                for i, conf in enumerate(reference_configurations(t, word)):
+                    if len(conf) > 200:
+                        break
+                    k = len(os.path.commonprefix([p for _, p in conf]))
+                    delays = frozenset((q, p[k:]) for q, p in conf)
+                    if i < n and any(p for _, p in delays):
+                        delayed_repeats += (delays, word[i]) in seen
+                        seen.add((delays, word[i]))
+                else:
+                    assert configuration_after(t, word) == conf, (t, word)
+                    alive += bool(conf)
+                    outputs = {p for q, p in conf if q in t.accepting}
+                    nonfunctional += len(outputs) > 1
+    assert alive >= 200
+    assert delayed_repeats >= 300
+    assert nonfunctional >= 50
+
+
+def test_unbounded_delay_is_exact_and_memory_stays_linear():
+    """LAST_LETTER's two live runs never share a prefix, so every step misses
+    the memo; the memo must not keep all the configurations it has seen,
+    which would hold |w|^2 characters."""
+    rng = random.Random(5)
+    n = 20_000
+    word = "".join(rng.choice("ab") for _ in range(n - 1))
+    assert transduce(LAST_LETTER, word + "b") == {"y" * n}
+    tracemalloc.start()
+    try:
+        outputs = transduce(LAST_LETTER, word + "a")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outputs == {"x" * n}
+    assert peak < 16 * n
