@@ -369,14 +369,12 @@ class PairSearchState:
                 return None
 
 
-def square_reach(t: Transducer, aliases=None) -> PairSearchState:
-    """Fully explored pair search over ``t`` with the given merge map
-    (a mapping from state to state, or an iterable of (a, b) pairs)."""
+def square_reach(t: Transducer, aliases=()) -> PairSearchState:
+    """Fully explored pair search over ``t`` after merging each (a, b) pair
+    of states in ``aliases``, in order."""
     view = QuotientView(t)
-    if aliases:
-        items = aliases.items() if hasattr(aliases, "items") else aliases
-        for a, b in items:
-            view.union(a, b)
+    for a, b in aliases:
+        view.union(a, b)
     st = PairSearchState(view)
     st.explore()
     return st

@@ -67,7 +67,9 @@ def infer(
     the cascade folded), so the outer loop only ever visits survivors.
     """
     cfg = cfg or LearnerConfig()
-    if cfg.emit_trace and trace is None:
+    # a trace that only feeds the echo drops each event once it is printed
+    own_trace = cfg.emit_trace and trace is None
+    if own_trace:
         trace = []
     sample_set, eps = split_epsilon(samples)
     tree, ann = build_prefix_tree(sample_set)
@@ -84,8 +86,8 @@ def infer(
                 if inner not in hypothesis.states:
                     continue
                 merged = try_merge(hypothesis, inner, outer, trace=trace)
-                if cfg.emit_trace and trace is not None:
-                    _echo_trace_entry(trace[-1])
+                if cfg.emit_trace:
+                    _echo_trace_entry(trace.pop() if own_trace else trace[-1])
                 if merged is not None:
                     hypothesis = merged
                     changed = True

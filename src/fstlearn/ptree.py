@@ -1,10 +1,12 @@
 """Onward prefix-tree construction from sample sets.
 
-The tree is grown with pair derivatives: each node owns the residual sample
-set left after consuming its input/output prefix, and branches are created
-per first output symbol with the longest common prefix of the remaining
-outputs pushed onto the edge.  A naive "star" builder is kept alongside as an
-independent baseline.
+Each node of the tree owns the residual sample set left after consuming its
+input/output prefix.  One pass over that residual buckets its pairs by first
+input symbol and splits each bucket into branches: the exact single-symbol
+pair's branch, which every pair whose output extends it rides, one branch
+per first output symbol carrying the longest common prefix of its outputs,
+and a bare branch for the rest, whose outputs are empty.  A naive "star"
+builder is kept alongside as an independent baseline.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ class SampleSet:
     def inputs(self) -> list[str]:
         return sorted(self._pairs, key=lambda w: (len(w), w))
 
-    def outputs(self) -> set[str]:
-        return set(self._pairs.values())
-
     def input_alphabet(self) -> tuple[str, ...]:
         return tuple(sorted({ch for w in self._pairs for ch in w}))
 
@@ -112,10 +111,13 @@ class PTreeAnnotation:
 def build_prefix_tree(s: SampleSet) -> tuple[Transducer, PTreeAnnotation]:
     """Build the onward canonical prefix tree for ``s``.
 
-    Nodes are processed breadth-first; at each node the exact single-symbol
-    pair (if any) gets its branch first, then each output symbol with a
-    nonempty derivative gets one, unless the exact branch already subsumes
-    it.  A sample that no branch can carry is reported as inconsistent.
+    Nodes are processed breadth-first, and each node's residual is read once:
+    its pairs are bucketed by first input symbol, and each bucket is split in
+    one pass.  A pair rides the exact pair's branch when its output extends
+    the exact pair's output; otherwise it joins the group of its first output
+    symbol, whose branch carries the group's longest common output prefix, or
+    the bare branch when its output is empty.  Branches are emitted in that
+    order, the groups sorted by output symbol, so node ids follow it.
     """
     sigma = s.input_alphabet()
     gamma = s.output_alphabet()
@@ -132,48 +134,37 @@ def build_prefix_tree(s: SampleSet) -> tuple[Transducer, PTreeAnnotation]:
             accepting.add(q)
         elif empty_out is not None:
             raise InconsistencyError(info.input_prefix, info.output_prefix + empty_out)
-        for sym in sigma:
+        buckets: dict[str, list[tuple[str, str]]] = {}
+        for inp, out in res._pairs.items():
+            if inp:
+                buckets.setdefault(inp[0], []).append((inp[1:], out))
+        for sym in sorted(buckets):
             exact = res.get(sym)
-            branches: list[tuple[str, SampleSet]] = []
-            if exact is not None:
-                branches.append((exact, derivative(res, sym, exact)))
-            # samples whose output extends the exact pair's ride its branch;
-            # the remaining continuations split by first output symbol, with
-            # an extra bare branch for those whose remaining output is empty
-            rest = SampleSet(_raw={
-                inp: out
-                for inp, out in res.pairs()
-                if inp.startswith(sym) and inp != ""
-                and (exact is None or not out.startswith(exact))
-            })
-            for g in gamma:
-                d = derivative(rest, sym, g)
-                if len(d) == 0:
-                    continue
-                p = g + lcp(d.outputs())
-                branches.append((p, derivative(rest, sym, p)))
-            bare = {
-                inp[1:]: ""
-                for inp, out in rest.pairs()
-                if len(inp) > 1 and out == ""
-            }
+            ride: dict[str, str] = {}
+            groups: dict[str, dict[str, str]] = {}
+            bare: dict[str, str] = {}
+            for tail, out in buckets[sym]:
+                if exact is not None and out.startswith(exact):
+                    ride[tail] = out[len(exact):]
+                elif out:
+                    groups.setdefault(out[0], {})[tail] = out
+                elif tail:
+                    bare[tail] = ""
+                else:  # unreachable: (sym, "") is the exact pair, which rides
+                    raise InconsistencyError(info.input_prefix + sym, info.output_prefix)
+            branches = [(exact, ride)] if exact is not None else []
+            for g in sorted(groups):
+                p = lcp(groups[g].values())
+                branches.append((p, {t: o[len(p):] for t, o in groups[g].items()}))
             if bare:
-                branches.append(("", SampleSet(_raw=bare)))
-            for inp, out in res.pairs():
-                if not inp.startswith(sym) or inp == "":
-                    continue
-                if not any(inp[1:] in d and d.get(inp[1:]) == out[len(b):]
-                           for b, d in branches if out.startswith(b)):
-                    raise InconsistencyError(
-                        info.input_prefix + inp, info.output_prefix + out
-                    )
+                branches.append(("", bare))
             for branch_out, rest in branches:
                 new = len(infos)
                 infos.append(
                     NodeInfo(
                         info.input_prefix + sym,
                         info.output_prefix + branch_out,
-                        rest,
+                        SampleSet(_raw=rest),
                     )
                 )
                 transitions.append((q, sym, new, branch_out))

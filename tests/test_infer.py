@@ -1,5 +1,6 @@
 """The learner: side channel, ordering, the merge loop end to end."""
 
+import importlib
 import random
 
 import pytest
@@ -104,6 +105,33 @@ def test_infer_monotone_state_count():
     assert sizes
     for before, after in sizes:
         assert after < before
+
+
+def test_echoed_trace_drops_each_event_unless_the_caller_keeps_it(
+    monkeypatch, capsys
+):
+    """With ``emit_trace`` and no list passed, each event is dropped once it
+    is printed, so the commits' before/after machines do not pile up; a list
+    passed by the caller keeps every event."""
+    infer_module = importlib.import_module("fstlearn.infer")  # not the function
+    held = []
+    real_try_merge = infer_module.try_merge
+
+    def spy(h, a, b, trace=None):
+        held.append(len(trace))
+        return real_try_merge(h, a, b, trace=trace)
+
+    monkeypatch.setattr(infer_module, "try_merge", spy)
+    samples = [("a", "x"), ("aa", "xx"), ("aaa", "xxx"), ("b", "y")]
+    infer(samples, LearnerConfig(emit_trace=True))
+    echoed = capsys.readouterr().err.splitlines()
+    assert len(held) > 1 and set(held) == {0}
+    assert len(echoed) == len(held)
+
+    trace = []
+    infer(samples, LearnerConfig(emit_trace=True), trace=trace)
+    assert len(trace) == len(capsys.readouterr().err.splitlines()) == len(echoed)
+    assert held[len(echoed):] == list(range(len(echoed)))
 
 
 def test_infer_deterministic_runs():

@@ -1,18 +1,29 @@
 """Prefix-tree construction, derivatives, and the star baseline."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fstlearn.core import Transducer, transduce
-from fstlearn.errors import ConflictError, ToolkitError
+from fstlearn.errors import ConflictError, InconsistencyError, ToolkitError
 from fstlearn.oracle import (
     check_ambiguous_up_to,
     equivalent_up_to,
     generate_informant,
     words_up_to,
 )
-from fstlearn.ptree import SampleSet, build_prefix_tree, build_star, derivative, lcp
+from fstlearn.ptree import (
+    NodeInfo,
+    PTreeAnnotation,
+    SampleSet,
+    build_prefix_tree,
+    build_star,
+    derivative,
+    lcp,
+)
 
 from machines import BATTERY, NONDET_EXAMPLE, random_deterministic_total
 
@@ -238,3 +249,124 @@ def test_tree_states_are_numbered_in_order():
     )
     keys = [ann.sort_key(q) for q in sorted(tree.states)]
     assert keys == sorted(keys)
+
+
+def test_root_with_empty_input_and_nonempty_output_is_inconsistent():
+    residual = derivative(SampleSet([("a", "x")]), "a", "")
+    with pytest.raises(InconsistencyError) as info:
+        build_prefix_tree(residual)
+    assert info.value.pair == ("", "x")
+
+
+def reference_prefix_tree(s):
+    """The builder that per node and input symbol takes one ``derivative`` per
+    output symbol and checks afterwards that some branch carries every pair.
+    The reference for ``build_prefix_tree``."""
+    sigma = s.input_alphabet()
+    gamma = s.output_alphabet()
+    infos = [NodeInfo("", "", s)]
+    accepting = set()
+    transitions = []
+    queue = deque([0])
+    while queue:
+        q = queue.popleft()
+        info = infos[q]
+        res = info.residual
+        empty_out = res.get("")
+        if empty_out == "":
+            accepting.add(q)
+        elif empty_out is not None:
+            raise InconsistencyError(info.input_prefix, info.output_prefix + empty_out)
+        for sym in sigma:
+            exact = res.get(sym)
+            branches = []
+            if exact is not None:
+                branches.append((exact, derivative(res, sym, exact)))
+            rest = SampleSet(_raw={
+                inp: out
+                for inp, out in res.pairs()
+                if inp.startswith(sym) and inp != ""
+                and (exact is None or not out.startswith(exact))
+            })
+            for g in gamma:
+                d = derivative(rest, sym, g)
+                if len(d) == 0:
+                    continue
+                p = g + lcp({out for _, out in d.pairs()})
+                branches.append((p, derivative(rest, sym, p)))
+            bare = {
+                inp[1:]: ""
+                for inp, out in rest.pairs()
+                if len(inp) > 1 and out == ""
+            }
+            if bare:
+                branches.append(("", SampleSet(_raw=bare)))
+            for inp, out in res.pairs():
+                if not inp.startswith(sym) or inp == "":
+                    continue
+                if not any(inp[1:] in d and d.get(inp[1:]) == out[len(b):]
+                           for b, d in branches if out.startswith(b)):
+                    raise InconsistencyError(
+                        info.input_prefix + inp, info.output_prefix + out
+                    )
+            for branch_out, rest in branches:
+                new = len(infos)
+                infos.append(
+                    NodeInfo(
+                        info.input_prefix + sym,
+                        info.output_prefix + branch_out,
+                        rest,
+                    )
+                )
+                transitions.append((q, sym, new, branch_out))
+                queue.append(new)
+    tree = Transducer(
+        range(len(infos)), sigma, gamma, 0, accepting, transitions
+    )
+    return tree, PTreeAnnotation(dict(enumerate(infos)))
+
+
+@st.composite
+def functional_sample_sets(draw):
+    """A random functional relation over 2-3 input and 2-4 output symbols.
+    Outputs are drawn as extensions of earlier outputs half of the time, so
+    that exact pairs with riders and shared output prefixes are common; an
+    empty input may carry a non-empty output, which the root rejects."""
+    sigma = "abc"[: draw(st.integers(2, 3))]
+    gamma = "wxyz"[: draw(st.integers(2, 4))]
+    inputs = draw(st.lists(st.text(sigma, max_size=5), max_size=14, unique=True))
+    raw = {}
+    for inp in inputs:
+        stem = ""
+        if raw and draw(st.booleans()):
+            stem = draw(st.sampled_from(sorted(raw.values())))
+        raw[inp] = stem + draw(st.text(gamma, max_size=3))
+    return SampleSet(_raw=raw)
+
+
+def _build(builder, s):
+    try:
+        return builder(s), None
+    except InconsistencyError as exc:
+        return None, exc.pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(functional_sample_sets())
+def test_prefix_tree_matches_the_reference_builder(s):
+    (got, error), (expected, expected_error) = (
+        _build(build_prefix_tree, s), _build(reference_prefix_tree, s)
+    )
+    assert error == expected_error
+    if expected is None:
+        return
+    (tree, ann), (ref, ref_ann) = got, expected
+    assert tree.states == ref.states
+    assert tree.transitions == ref.transitions
+    assert tree.accepting == ref.accepting
+    assert ann.nodes.keys() == ref_ann.nodes.keys()
+    for q, info in ann.nodes.items():
+        ref_info = ref_ann.nodes[q]
+        assert info.input_prefix == ref_info.input_prefix
+        assert info.output_prefix == ref_info.output_prefix
+        assert info.residual.pairs() == ref_info.residual.pairs()
