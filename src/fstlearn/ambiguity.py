@@ -268,13 +268,12 @@ class PairSearchState:
         while self.frontier:
             self.expand_one()
 
-    def merge_update(self, keep: int, drop: int) -> "PairSearchState":
+    def merge_update(self, keep: int, drop: int) -> None:
         """Fold ``drop`` into ``keep`` and restart the search from the root
         pair; exploration is resumed lazily (call ``explore`` or
         ``next_witness``)."""
         self.view.union(keep, drop)
         self._restart()
-        return self
 
     # -- witness extraction -------------------------------------------------
 

@@ -3,8 +3,9 @@
 Machine files: a header ``fst <input chars> <output chars> <initial id>``
 followed by ``state <id> [accept]`` lines and ``trans <src> <sym> <dst>
 <output|->`` lines, where ``-`` stands for the empty string (also used for an
-empty alphabet field).  Sample files: one ``input TAB output`` pair per line,
-empty field meaning the empty string.
+empty alphabet field).  Fields are separated by whitespace, so a machine
+whose symbols include ``-`` or whitespace cannot be written.  Sample files:
+one ``input TAB output`` pair per line, empty field meaning the empty string.
 
 Exit codes: 0 success, 1 domain failure (rejected input, symbol outside the
 alphabet, failed property, inconsistent data), 2 integrity failure (parse
@@ -31,6 +32,14 @@ from .infer import LearnerConfig, infer
 
 
 def serialize_machine(t: Transducer, epsilon_output: Optional[str] = None) -> str:
+    used = "".join(t.input_alphabet | t.output_alphabet) + (epsilon_output or "")
+    reserved = sorted({ch for ch in used if ch == "-" or ch.isspace()})
+    if reserved:
+        raise FormatError(
+            f"symbols {reserved!r} cannot be written to a machine file: "
+            "'-' stands for the empty string and whitespace separates fields"
+        )
+
     def chars(alphabet):
         return "".join(sorted(alphabet)) or "-"
 
@@ -144,8 +153,9 @@ def cmd_learn(args) -> int:
         pairs = parse_samples(fh.read())
     cfg = LearnerConfig(max_merge_passes=args.max_passes, emit_trace=args.trace)
     model = infer(pairs, cfg)
+    text = serialize_machine(model.machine, model.epsilon_output)
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_machine(model.machine, model.epsilon_output))
+        fh.write(text)
     return 0
 
 
@@ -211,8 +221,9 @@ def cmd_transform(args) -> int:
         result = transform.disambiguate(machine)
     else:
         result = trim(machine)
+    text = serialize_machine(result, epsilon_output)
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_machine(result, epsilon_output))
+        fh.write(text)
     return 0
 
 

@@ -10,7 +10,7 @@ from typing import Iterable, Optional
 from .core import Transducer, renumber, trim
 from .errors import ConflictError
 from .merge import try_merge
-from .ptree import PTreeAnnotation, SampleSet, build_prefix_tree
+from .ptree import SampleSet, build_prefix_tree
 
 
 @dataclass
@@ -48,10 +48,11 @@ def split_epsilon(samples: Iterable[tuple[str, str]]) -> tuple[SampleSet, Option
     return rest, eps
 
 
-def state_order(ann: PTreeAnnotation) -> list[int]:
+def state_order(prefixes: list[tuple[str, str]]) -> list[int]:
     """Tree states sorted by input prefix (length first, then lexicographic),
     ties broken the same way on the output prefix."""
-    return sorted(ann.nodes, key=ann.sort_key)
+    keys = [(len(i), i, len(o), o) for i, o in prefixes]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def infer(
@@ -72,8 +73,8 @@ def infer(
     if own_trace:
         trace = []
     sample_set, eps = split_epsilon(samples)
-    tree, ann = build_prefix_tree(sample_set)
-    order = state_order(ann)
+    tree, prefixes = build_prefix_tree(sample_set)
+    order = state_order(prefixes)
     hypothesis = tree
     for _ in range(cfg.max_merge_passes):
         changed = False
@@ -95,7 +96,7 @@ def infer(
         if not changed:
             break
     hypothesis = trim(hypothesis)
-    final_order = sorted(hypothesis.states, key=ann.sort_key)
+    final_order = [q for q in order if q in hypothesis.states]
     return LearnedModel(renumber(hypothesis, final_order), eps)
 
 

@@ -39,7 +39,7 @@ class MergeSession:
 
     view: QuotientView
     search: PairSearchState
-    root_pair: tuple[int, int]
+    root: int
     pending: deque = field(default_factory=deque)
     push_log: list = field(default_factory=list)
     forced_log: list = field(default_factory=list)
@@ -47,7 +47,7 @@ class MergeSession:
 
     @property
     def root_class(self) -> int:
-        return self.view.find(self.root_pair[0])
+        return self.view.find(self.root)
 
 
 def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
@@ -125,7 +125,7 @@ def unify_paths(session: MergeSession, witness: AmbiguousPathPair) -> bool:
 
 def open_session(h: Transducer, a: int, b: int) -> MergeSession:
     view = QuotientView(h)
-    session = MergeSession(view, PairSearchState(view), (a, b))
+    session = MergeSession(view, PairSearchState(view), a)
     session.pending.append((a, b))
     return session
 

@@ -1,18 +1,19 @@
 """Onward prefix-tree construction from sample sets.
 
-Each node of the tree owns the residual sample set left after consuming its
-input/output prefix.  One pass over that residual buckets its pairs by first
-input symbol and splits each bucket into branches: the exact single-symbol
-pair's branch, which every pair whose output extends it rides, one branch
-per first output symbol carrying the longest common prefix of its outputs,
-and a bare branch for the rest, whose outputs are empty.  A naive "star"
-builder is kept alongside as an independent baseline.
+The tree is built breadth-first.  A node's residual relation, the sample
+pairs left after consuming its input/output prefix, is kept only until the
+node is expanded; the tree keeps each node's pair of prefixes and nothing
+else.  One pass over a residual buckets its pairs by first input symbol and
+splits each bucket into branches: the exact single-symbol pair's branch,
+which every pair whose output extends it rides, one branch per first output
+symbol carrying the longest common prefix of its outputs, and a bare branch
+for the rest, whose outputs are empty.  A naive "star" builder is kept
+alongside as an independent baseline.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Transducer, lcp
@@ -86,56 +87,36 @@ def derivative(s: SampleSet, sigma: str, gamma: str) -> SampleSet:
     return SampleSet(_raw=rest)
 
 
-@dataclass(frozen=True)
-class NodeInfo:
-    input_prefix: str
-    output_prefix: str
-    residual: SampleSet
-
-
-@dataclass
-class PTreeAnnotation:
-    """Per-state identity and residual sample set of a prefix tree."""
-
-    nodes: dict[int, NodeInfo]
-
-    def identity(self, state: int) -> tuple[str, str]:
-        info = self.nodes[state]
-        return (info.input_prefix, info.output_prefix)
-
-    def sort_key(self, state: int) -> tuple:
-        i, o = self.identity(state)
-        return (len(i), i, len(o), o)
-
-
-def build_prefix_tree(s: SampleSet) -> tuple[Transducer, PTreeAnnotation]:
+def build_prefix_tree(s: SampleSet) -> tuple[Transducer, list[tuple[str, str]]]:
     """Build the onward canonical prefix tree for ``s``.
 
-    Nodes are processed breadth-first, and each node's residual is read once:
-    its pairs are bucketed by first input symbol, and each bucket is split in
-    one pass.  A pair rides the exact pair's branch when its output extends
-    the exact pair's output; otherwise it joins the group of its first output
-    symbol, whose branch carries the group's longest common output prefix, or
-    the bare branch when its output is empty.  Branches are emitted in that
-    order, the groups sorted by output symbol, so node ids follow it.
+    Returns the tree and ``prefixes``, where ``prefixes[q]`` is the (input,
+    output) prefix that leads from the root to node ``q``.  Nodes are
+    expanded breadth-first; a node's residual lives only in its queue entry.
+    Each residual is read once: its pairs are bucketed by first input symbol,
+    and each bucket is split in one pass.  A pair rides the exact pair's
+    branch when its output extends the exact pair's output; otherwise it
+    joins the group of its first output symbol, whose branch carries the
+    group's longest common output prefix, or the bare branch when its output
+    is empty.  Branches are emitted in that order, the groups sorted by
+    output symbol, so node ids follow it.
     """
     sigma = s.input_alphabet()
     gamma = s.output_alphabet()
-    infos: list[NodeInfo] = [NodeInfo("", "", s)]
+    prefixes: list[tuple[str, str]] = [("", "")]
     accepting: set[int] = set()
     transitions: list[tuple[int, str, int, str]] = []
-    queue = deque([0])
+    queue: deque[tuple[int, dict[str, str]]] = deque([(0, s._pairs)])
     while queue:
-        q = queue.popleft()
-        info = infos[q]
-        res = info.residual
+        q, res = queue.popleft()
+        in_prefix, out_prefix = prefixes[q]
         empty_out = res.get("")
         if empty_out == "":
             accepting.add(q)
         elif empty_out is not None:
-            raise InconsistencyError(info.input_prefix, info.output_prefix + empty_out)
+            raise InconsistencyError(in_prefix, out_prefix + empty_out)
         buckets: dict[str, list[tuple[str, str]]] = {}
-        for inp, out in res._pairs.items():
+        for inp, out in res.items():
             if inp:
                 buckets.setdefault(inp[0], []).append((inp[1:], out))
         for sym in sorted(buckets):
@@ -151,7 +132,7 @@ def build_prefix_tree(s: SampleSet) -> tuple[Transducer, PTreeAnnotation]:
                 elif tail:
                     bare[tail] = ""
                 else:  # unreachable: (sym, "") is the exact pair, which rides
-                    raise InconsistencyError(info.input_prefix + sym, info.output_prefix)
+                    raise InconsistencyError(in_prefix + sym, out_prefix)
             branches = [(exact, ride)] if exact is not None else []
             for g in sorted(groups):
                 p = lcp(groups[g].values())
@@ -159,21 +140,14 @@ def build_prefix_tree(s: SampleSet) -> tuple[Transducer, PTreeAnnotation]:
             if bare:
                 branches.append(("", bare))
             for branch_out, rest in branches:
-                new = len(infos)
-                infos.append(
-                    NodeInfo(
-                        info.input_prefix + sym,
-                        info.output_prefix + branch_out,
-                        SampleSet(_raw=rest),
-                    )
-                )
+                new = len(prefixes)
+                prefixes.append((in_prefix + sym, out_prefix + branch_out))
                 transitions.append((q, sym, new, branch_out))
-                queue.append(new)
+                queue.append((new, rest))
     tree = Transducer(
-        range(len(infos)), sigma, gamma, 0, accepting, transitions
+        range(len(prefixes)), sigma, gamma, 0, accepting, transitions
     )
-    ann = PTreeAnnotation({i: info for i, info in enumerate(infos)})
-    return tree, ann
+    return tree, prefixes
 
 
 def build_star(s: SampleSet) -> Transducer:

@@ -4,8 +4,7 @@ and the powerset-style reduction from functional to unambiguous form."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .core import Transducer, trim
 from .errors import ConfigurationError
@@ -19,58 +18,18 @@ class PowersetState(NamedTuple):
     context: frozenset
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """Plain acceptor used as the intermediate of totalization."""
-
-    states: frozenset
-    alphabet: frozenset
-    initial: int
-    accepting: frozenset
-    transitions: frozenset  # of (src, symbol, dst)
-
-    @staticmethod
-    def make(states, alphabet, initial, accepting, transitions) -> "Nfa":
-        return Nfa(
-            frozenset(states),
-            frozenset(alphabet),
-            initial,
-            frozenset(accepting),
-            frozenset(transitions),
-        )
-
-    def accepts(self, word: str) -> bool:
-        cur = {self.initial}
-        step = {}
-        for src, sym, dst in self.transitions:
-            step.setdefault((src, sym), set()).add(dst)
-        for sym in word:
-            cur = set().union(*(step.get((q, sym), set()) for q in cur)) if cur else set()
-        return bool(cur & self.accepting)
-
-
-def input_projection(t: Transducer) -> Nfa:
-    """Acceptor of the transducer's input language; outputs discarded."""
-    return Nfa.make(
-        t.states,
-        t.input_alphabet,
-        t.initial,
-        t.accepting,
-        {(tr.src, tr.symbol, tr.dst) for tr in t.transitions},
-    )
-
-
-def complement_dfa(n: Nfa) -> Nfa:
-    """Deterministic complete acceptor of the complement language.
+def complement_dfa(t: Transducer) -> Transducer:
+    """Deterministic complete acceptor of the complement of the input
+    language of ``t``; every output is empty.
 
     Subset construction over reachable subsets (the empty subset acts as the
     sink), acceptance flipped.  State ids follow discovery order.
     """
-    alphabet = sorted(n.alphabet)
+    alphabet = sorted(t.input_alphabet)
     step: dict[tuple[int, str], set[int]] = {}
-    for src, sym, dst in n.transitions:
-        step.setdefault((src, sym), set()).add(dst)
-    start = frozenset([n.initial])
+    for tr in t.transitions:
+        step.setdefault((tr.src, tr.symbol), set()).add(tr.dst)
+    start = frozenset([t.initial])
     ids: dict[frozenset, int] = {start: 0}
     queue = deque([start])
     transitions = []
@@ -83,9 +42,9 @@ def complement_dfa(n: Nfa) -> Nfa:
             if nxt not in ids:
                 ids[nxt] = len(ids)
                 queue.append(nxt)
-            transitions.append((sid, sym, ids[nxt]))
-    accepting = {sid for subset, sid in ids.items() if not (subset & n.accepting)}
-    return Nfa.make(range(len(ids)), n.alphabet, 0, accepting, transitions)
+            transitions.append((sid, sym, ids[nxt], ""))
+    accepting = {sid for subset, sid in ids.items() if not (subset & t.accepting)}
+    return Transducer(range(len(ids)), t.input_alphabet, (), 0, accepting, transitions)
 
 
 def union(a: Transducer, b: Transducer) -> Transducer:
@@ -122,7 +81,7 @@ def totalize(t: Transducer, reject: str) -> Transducer:
     """Extend a partial functional relation to a total one over all non-empty
     inputs, mapping every previously rejected input to the reject symbol.
 
-    The rejected inputs are recognized by complementing the input projection;
+    The rejected inputs are recognized by complementing the input language;
     that acceptor becomes a transducer emitting ``reject`` on its first step
     and nothing afterwards (two layers keep the first step unique), and is
     united with the original machine.  Acceptance of the empty input is
@@ -132,12 +91,12 @@ def totalize(t: Transducer, reject: str) -> Transducer:
         raise ConfigurationError("reject symbol must be a single character")
     if reject in t.output_alphabet:
         raise ConfigurationError(f"reject symbol {reject!r} already in output alphabet")
-    comp = complement_dfa(input_projection(t))
+    comp = complement_dfa(t)
     # layer 0 = fresh start (emits reject on the way out), layer 1 = body
     body = {q: 1 + q for q in comp.states}
     start = 0
     transitions = []
-    for src, sym, dst in sorted(comp.transitions):
+    for src, sym, dst, _ in comp.transitions:
         transitions.append((body[src], sym, body[dst], ""))
         if src == comp.initial:
             transitions.append((start, sym, body[dst], reject))

@@ -193,6 +193,30 @@ def test_cmd_transform_totalize_symbol_clash(tmp_path):
     assert main(["transform", str(machine), str(tmp_path / "o.fst"), "--totalize", "#"]) == 1
 
 
+@pytest.mark.parametrize(
+    "samples",
+    ["a\t-\naa\t--\n", "a b\tx\n", "\t-\na\tx\n"],
+    ids=["dash-output", "space-input", "dash-epsilon-output"],
+)
+def test_cmd_learn_refuses_symbols_the_format_reserves(tmp_path, samples, capsys):
+    path = tmp_path / "samples.tsv"
+    out = tmp_path / "out.fst"
+    write(path, samples)
+    assert main(["learn", str(path), str(out)]) == 2
+    assert "cannot be written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reject", ["-", " "])
+def test_cmd_transform_totalize_refuses_symbols_the_format_reserves(tmp_path, reject):
+    machine = tmp_path / "m.fst"
+    out = tmp_path / "total.fst"
+    t = Transducer([0, 1], "ab", "x", 0, [1], [(0, "a", 1, "x")])
+    write(machine, serialize_machine(t))
+    assert main(["transform", str(machine), str(out), "--totalize", reject]) == 2
+    assert not out.exists()
+
+
 def test_cmd_transform_trim_idempotent(tmp_path):
     machine = tmp_path / "m.fst"
     first = tmp_path / "first.fst"

@@ -37,22 +37,22 @@ def test_split_epsilon_conflict():
 
 
 def test_state_order_is_length_lexicographic():
-    tree, ann = build_prefix_tree(
+    _, prefixes = build_prefix_tree(
         SampleSet([("a", "x"), ("b", "y"), ("aa", "xx")])
     )
-    idents = [ann.identity(q)[0] for q in state_order(ann)]
+    idents = [prefixes[q][0] for q in state_order(prefixes)]
     assert idents == ["", "a", "b", "aa"]
 
 
 def test_state_order_breaks_ties_on_output():
-    tree, ann = build_prefix_tree(SampleSet([("a", "x"), ("ab", "yz")]))
-    ordered = [ann.identity(q) for q in state_order(ann)]
+    _, prefixes = build_prefix_tree(SampleSet([("a", "x"), ("ab", "yz")]))
+    ordered = [prefixes[q] for q in state_order(prefixes)]
     assert ordered.index(("a", "x")) < ordered.index(("a", "yz"))
 
 
 def test_state_order_singleton():
-    tree, ann = build_prefix_tree(SampleSet([("", "")]))
-    assert state_order(ann) == [0]
+    _, prefixes = build_prefix_tree(SampleSet([("", "")]))
+    assert state_order(prefixes) == [0]
 
 
 def test_infer_loop_target():

@@ -1,6 +1,7 @@
 """Prefix-tree construction, derivatives, and the star baseline."""
 
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -16,8 +17,6 @@ from fstlearn.oracle import (
     words_up_to,
 )
 from fstlearn.ptree import (
-    NodeInfo,
-    PTreeAnnotation,
     SampleSet,
     build_prefix_tree,
     build_star,
@@ -71,17 +70,17 @@ def test_sample_set_rejects_empty_input_with_output():
 
 
 def test_tree_chain():
-    tree, ann = build_prefix_tree(SampleSet([("a", "x"), ("aa", "xx")]))
+    tree, prefixes = build_prefix_tree(SampleSet([("a", "x"), ("aa", "xx")]))
     assert tree.transitions == (
         (0, "a", 1, "x"),
         (1, "a", 2, "x"),
     )
     assert tree.accepting == {1, 2}
-    assert ann.identity(2) == ("aa", "xx")
+    assert prefixes[2] == ("aa", "xx")
 
 
 def test_tree_nondeterministic_branch():
-    tree, ann = build_prefix_tree(SampleSet([("a", "x"), ("ab", "yz")]))
+    tree, _ = build_prefix_tree(SampleSet([("a", "x"), ("ab", "yz")]))
     # exact branch a/x to an accepting state, and a second branch a/yz
     # continuing with b/<empty> to an accepting state
     outs = sorted((t.symbol, t.out) for t in tree.transitions)
@@ -91,8 +90,9 @@ def test_tree_nondeterministic_branch():
 
 
 def test_tree_of_empty_pair_only():
-    tree, ann = build_prefix_tree(SampleSet([("", "")]))
+    tree, prefixes = build_prefix_tree(SampleSet([("", "")]))
     assert len(tree.states) == 1
+    assert prefixes == [("", "")]
     assert tree.accepting == {0}
     assert not tree.transitions
 
@@ -170,18 +170,26 @@ def test_tree_is_unambiguous():
         assert check_ambiguous_up_to(tree, max_len).verdict
 
 
+def subtree_relation(tree, q):
+    """The (input, output) pairs of the paths from ``q`` to acceptance in a
+    tree-shaped machine."""
+    pairs = {("", "")} if q in tree.accepting else set()
+    for sym, dst, out in tree.arcs_from(q):
+        pairs |= {(sym + i, out + o) for i, o in subtree_relation(tree, dst)}
+    return pairs
+
+
 def test_annotation_residuals_are_pair_derivatives_of_the_root():
     for s in _conforming_sample_sets(15, seed=31):
-        tree, ann = build_prefix_tree(s)
+        tree, prefixes = build_prefix_tree(s)
         for state in tree.states:
-            i, o = ann.identity(state)
+            i, o = prefixes[state]
             expected = {
                 (inp[len(i):], out[len(o):])
                 for inp, out in s.pairs()
                 if inp.startswith(i) and out.startswith(o)
             }
-            got = set(ann.nodes[state].residual.pairs())
-            assert got == expected, (state, i, o)
+            assert subtree_relation(tree, state) == expected, (state, i, o)
 
 
 def test_ab_property_on_random_trees():
@@ -204,7 +212,7 @@ def test_tree_edges_converge_to_target_edges():
     it corresponds to."""
     for name, target, m in BATTERY:
         informant = generate_informant(target, 2 * m)
-        tree, ann = build_prefix_tree(SampleSet(informant))
+        tree, prefixes = build_prefix_tree(SampleSet(informant))
         # walk tree and target in lockstep
         pairs = {(0, target.initial)}
         seen = set()
@@ -213,7 +221,7 @@ def test_tree_edges_converge_to_target_edges():
             if (tree_q, tgt_q) in seen:
                 continue
             seen.add((tree_q, tgt_q))
-            i, _ = ann.identity(tree_q)
+            i, _ = prefixes[tree_q]
             if len(i) >= m:
                 continue
             tree_edges = sorted(
@@ -244,11 +252,27 @@ def test_tree_handles_epsilon_output_continuations():
 
 
 def test_tree_states_are_numbered_in_order():
-    tree, ann = build_prefix_tree(
+    tree, prefixes = build_prefix_tree(
         SampleSet([("a", "x"), ("ab", "yz"), ("b", "w")])
     )
-    keys = [ann.sort_key(q) for q in sorted(tree.states)]
+    assert sorted(tree.states) == list(range(len(prefixes)))
+    keys = [(len(i), i, len(o), o) for i, o in prefixes]
     assert keys == sorted(keys)
+
+
+def test_tree_keeps_no_residuals():
+    # everything the build returns stays alive while the memory is read: the
+    # tree and the prefixes cost a few hundred bytes per node, while keeping
+    # every node's residual relation would cost about 1.6 kB per node here
+    rotation = next(t for name, t, _ in BATTERY if name == "rotation")
+    s = SampleSet(generate_informant(rotation, 8))
+    tracemalloc.start()
+    try:
+        built = build_prefix_tree(s)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1000 * len(built[0].states)
 
 
 def test_root_with_empty_input_and_nonempty_output_is_inconsistent():
@@ -264,19 +288,18 @@ def reference_prefix_tree(s):
     The reference for ``build_prefix_tree``."""
     sigma = s.input_alphabet()
     gamma = s.output_alphabet()
-    infos = [NodeInfo("", "", s)]
+    prefixes = [("", "")]
     accepting = set()
     transitions = []
-    queue = deque([0])
+    queue = deque([(0, s)])
     while queue:
-        q = queue.popleft()
-        info = infos[q]
-        res = info.residual
+        q, res = queue.popleft()
+        in_prefix, out_prefix = prefixes[q]
         empty_out = res.get("")
         if empty_out == "":
             accepting.add(q)
         elif empty_out is not None:
-            raise InconsistencyError(info.input_prefix, info.output_prefix + empty_out)
+            raise InconsistencyError(in_prefix, out_prefix + empty_out)
         for sym in sigma:
             exact = res.get(sym)
             branches = []
@@ -306,24 +329,16 @@ def reference_prefix_tree(s):
                     continue
                 if not any(inp[1:] in d and d.get(inp[1:]) == out[len(b):]
                            for b, d in branches if out.startswith(b)):
-                    raise InconsistencyError(
-                        info.input_prefix + inp, info.output_prefix + out
-                    )
+                    raise InconsistencyError(in_prefix + inp, out_prefix + out)
             for branch_out, rest in branches:
-                new = len(infos)
-                infos.append(
-                    NodeInfo(
-                        info.input_prefix + sym,
-                        info.output_prefix + branch_out,
-                        rest,
-                    )
-                )
+                new = len(prefixes)
+                prefixes.append((in_prefix + sym, out_prefix + branch_out))
                 transitions.append((q, sym, new, branch_out))
-                queue.append(new)
+                queue.append((new, rest))
     tree = Transducer(
-        range(len(infos)), sigma, gamma, 0, accepting, transitions
+        range(len(prefixes)), sigma, gamma, 0, accepting, transitions
     )
-    return tree, PTreeAnnotation(dict(enumerate(infos)))
+    return tree, prefixes
 
 
 @st.composite
@@ -360,13 +375,10 @@ def test_prefix_tree_matches_the_reference_builder(s):
     assert error == expected_error
     if expected is None:
         return
-    (tree, ann), (ref, ref_ann) = got, expected
+    (tree, prefixes), (ref, ref_prefixes) = got, expected
     assert tree.states == ref.states
     assert tree.transitions == ref.transitions
     assert tree.accepting == ref.accepting
-    assert ann.nodes.keys() == ref_ann.nodes.keys()
-    for q, info in ann.nodes.items():
-        ref_info = ref_ann.nodes[q]
-        assert info.input_prefix == ref_info.input_prefix
-        assert info.output_prefix == ref_info.output_prefix
-        assert info.residual.pairs() == ref_info.residual.pairs()
+    # a node's residual is the relation of its subtree, so equal trees with
+    # equal prefixes have equal residuals too
+    assert prefixes == ref_prefixes

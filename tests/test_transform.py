@@ -1,4 +1,4 @@
-"""Totalization, disambiguation, projections, union."""
+"""Totalization, complement, disambiguation, union."""
 
 import random
 
@@ -14,10 +14,8 @@ from fstlearn.oracle import (
     words_up_to,
 )
 from fstlearn.transform import (
-    Nfa,
     complement_dfa,
     disambiguate,
-    input_projection,
     totalize,
     union,
 )
@@ -25,17 +23,20 @@ from fstlearn.transform import (
 from machines import random_machine, random_mostly_deterministic
 
 
-def nfa_language(n: Nfa, max_len: int) -> set:
-    return {w for w in words_up_to(n.alphabet, max_len) if n.accepts(w)}
+def language(t: Transducer, max_len: int) -> set:
+    """The inputs up to ``max_len`` that ``t`` accepts."""
+    return {w for w in words_up_to(t.input_alphabet, max_len) if transduce(t, w)}
 
 
-def test_input_projection_drops_outputs():
+def test_complement_reads_inputs_and_emits_nothing():
     t = Transducer([0, 1], "a", "xy", 0, [1], [(0, "a", 1, "xy")])
-    n = input_projection(t)
-    assert nfa_language(n, 3) == {"a"}
+    comp = complement_dfa(t)
+    assert not comp.output_alphabet
+    assert {tr.out for tr in comp.transitions} == {""}
+    assert language(comp, 3) == {"", "aa", "aaa"}
 
 
-def test_input_projection_two_words():
+def test_complement_of_two_words():
     t = Transducer(
         [0, 1, 2, 3],
         "ab",
@@ -44,32 +45,31 @@ def test_input_projection_two_words():
         [1, 3],
         [(0, "a", 1, "x"), (0, "a", 2, "y"), (2, "b", 3, "z")],
     )
-    assert nfa_language(input_projection(t), 3) == {"a", "ab"}
+    assert language(complement_dfa(t), 3) == set(words_up_to("ab", 3)) - {"a", "ab"}
 
 
-def test_input_projection_empty_relation():
+def test_complement_of_the_empty_relation_is_everything():
     t = Transducer([0], "a", "x", 0, [], [])
-    assert nfa_language(input_projection(t), 3) == set()
+    assert language(complement_dfa(t), 3) == set(words_up_to("a", 3))
 
 
 def test_complement_simple():
-    n = Nfa.make([0, 1], "a", 0, [1], [(0, "a", 1)])
-    comp = complement_dfa(n)
-    assert nfa_language(comp, 3) == {"", "aa", "aaa"}
+    t = Transducer([0, 1], "a", "", 0, [1], [(0, "a", 1, "")])
+    comp = complement_dfa(t)
+    assert language(comp, 3) == {"", "aa", "aaa"}
 
 
 def test_complement_involution():
     rng = random.Random(3)
     for _ in range(10):
         t = random_machine(rng, max_states=4)
-        n = input_projection(t)
-        twice = complement_dfa(complement_dfa(n))
-        assert nfa_language(twice, 6) == nfa_language(n, 6)
+        twice = complement_dfa(complement_dfa(t))
+        assert language(twice, 6) == language(t, 6)
 
 
 def test_complement_of_everything_is_empty():
-    n = Nfa.make([0], "ab", 0, [0], [(0, "a", 0), (0, "b", 0)])
-    assert nfa_language(complement_dfa(n), 4) == set()
+    t = Transducer([0], "ab", "", 0, [0], [(0, "a", 0, ""), (0, "b", 0, "")])
+    assert language(complement_dfa(t), 4) == set()
 
 
 def test_totalize_partial_machine():
