@@ -16,20 +16,46 @@ written edge's source class.  Unions and output writes go only through the
 view's ``union`` and ``set_out``, so no cached list outlives the facts it was
 built from.
 
-A union restarts the search from the root pair, and exploration resumes
-lazily.  Between two unions only push-backs change the view, and they change
-outputs only, so classes and acceptance stay fixed while one search runs.
-Every stored pair is therefore canonical, and every back-pointer points to a
-pair discovered earlier: the back-pointers form a tree rooted at the initial
-pair.  Witness paths are rebuilt along that tree with outputs resolved at
-reconstruction time, so push-backs applied after discovery are reflected
-faithfully.
+The search is breadth-first and runs on the fly (Allauzen & Mohri,
+"Efficient algorithms for testing the twins property", 2003): pairs are
+expanded in the order they were discovered, and an expansion pauses after each
+step that appends an event, so a caller that wants one witness pays only for
+the steps before it.  A union keeps the part of the search that a search
+restarted from the root pair would repeat exactly, and cuts the rest.
+
+Why the kept part is exact.  An expansion reads the edges of its pair's two
+classes (symbol, destination class and representative raw key, never the
+output), whether each child pair is already reached, and the acceptance of a
+child's classes when it is discovered.  A union changes the edge lists of the
+classes it invalidates and, if only the folded-away class accepted, the
+acceptance of the surviving one.  So until the earliest expansion of a pair
+that holds an invalidated class, or the expansion that discovered the first
+pair holding a survivor that just became accepting, a restarted search reads
+the same facts in the same order: it discovers the same pairs with the same
+back-pointers and appends the same events.  None of those pairs holds the
+folded-away class, since only an expansion that follows an edge into it can
+discover one.  ``merge_update`` cuts the search back to that expansion, and
+the events are read again from the first, as after a restart.  A push-back
+needs no cut: it only runs when its target class has one incoming quotient
+edge, so the edge it rewrites is the only one of its class with that symbol
+and destination, and it prepends one string to every output leaving the
+target.  Neither changes the order of an edge list, which edges it folds
+together, or their representative raw keys.
+
+Why the back-pointers stay a tree.  Every kept pair is canonical in the
+current view, and its back-pointer points to the pair whose expansion
+discovered it, which has a smaller index in discovery order.  A walk up from
+any pair therefore reaches the root pair.  Witness paths are rebuilt along
+that tree with outputs resolved at reconstruction time, so push-backs applied
+after discovery are reflected faithfully.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .core import Path, Transducer, Transition
@@ -106,18 +132,18 @@ class QuotientView:
     def find(self, q: int) -> int:
         return self.uf.find(q)
 
-    def union(self, a: int, b: int) -> int:
-        """Merge the classes of ``a`` and ``b``; returns the surviving class."""
+    def union(self, a: int, b: int) -> set[int]:
+        """Merge the classes of ``a`` and ``b``; returns the classes whose edge
+        lists this drops (none if ``a`` and ``b`` were one class already)."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return ra
+            return set()
         keep = self.uf.union(ra, rb)
         drop = rb if keep == ra else ra
         into_keep, into_drop = self._incoming[keep], self._incoming.pop(drop)
-        for src, _, _ in into_drop:
-            self._edges.pop(self.find(src), None)
-        self._edges.pop(keep, None)
-        self._edges.pop(drop, None)
+        touched = {keep, drop, *(self.find(src) for src, _, _ in into_drop)}
+        for cls in touched:
+            self._edges.pop(cls, None)
         if len(into_keep) < len(into_drop):
             into_keep, into_drop = into_drop, into_keep
         into_keep += into_drop
@@ -125,7 +151,7 @@ class QuotientView:
         if drop in self._accepting:
             self._accepting.discard(drop)
             self._accepting.add(keep)
-        return keep
+        return touched
 
     def out(self, key: RawKey) -> str:
         return self.overlay.get(key, self._raw_out[key])
@@ -215,9 +241,20 @@ class PairSearchState:
 
     ``reached`` maps each pair to its back-pointer: (parent pair, symbol, raw
     key of the edge from the parent's first class, raw key of the edge from
-    its second), or None for the root pair.  A union restarts the search, so
-    the back-pointers always form a tree and a walk up from any pair reaches
-    the root in at most ``len(reached)`` steps.
+    its second), or None for the root pair.  Pairs are expanded in the order
+    they were discovered, so the k-th expansion is of the k-th key of
+    ``reached``; ``_marks[k]`` holds the sizes of ``reached`` and ``events``
+    when it started.  An expansion pauses after each step that appends an
+    event and is resumed when more events are needed.
+
+    Invariant: ``reached`` and ``events`` are prefixes of those of a search
+    of the current view started from the root pair and explored to the end,
+    and the expansions started are the first ``len(_marks)`` of that search.
+    A union breaks it only from the first expansion that reads a fact the
+    union changed, so ``merge_update`` cuts the search back to there (see the
+    module docstring).  Every back-pointer of a kept pair points to a pair
+    with a smaller index, so the back-pointers form a tree and a walk up from
+    any pair reaches the root in at most ``len(reached)`` steps.
     """
 
     def __init__(self, view: QuotientView):
@@ -227,53 +264,109 @@ class PairSearchState:
     def _restart(self) -> None:
         root = _pair(self.view.initial_class(), self.view.initial_class())
         self.reached: dict[tuple[int, int], Optional[tuple]] = {root: None}
-        self.frontier: deque = deque([root])
         self.events: list[tuple] = []
         self._cursor = 0
+        self._keys = [root]  # the keys of ``reached``, by index
+        self._first = {root[0]: 0}  # class -> index of the first pair holding it
+        self._marks: list[tuple[int, int]] = []
+        self._paused = None  # the started expansion, until it has run out
 
     # -- exploration ------------------------------------------------------
 
     def expand_one(self) -> None:
-        view = self.view
-        pair = p, q = self.frontier.popleft()
-        edges_p = view.edges_from(p)
-        if p == q:
-            for i, e1 in enumerate(edges_p):
-                for e2 in edges_p[i:]:
-                    if e1[0] != e2[0]:
-                        continue
-                    self._step(pair, e1, e2, diverging=e1 != e2)
-        else:
-            edges_q = view.edges_from(q)
-            for e1 in edges_p:
-                for e2 in edges_q:
-                    if e1[0] != e2[0]:
-                        continue
-                    self._step(pair, e1, e2, diverging=True)
+        """Start expanding the next discovered pair; run it to its first
+        event."""
+        pair = self._keys[len(self._marks)]
+        self._marks.append((len(self._keys), len(self.events)))
+        steps = self._expansion(pair)
+        self._paused = steps if next(steps, False) else None
 
-    def _step(self, pair, e1, e2, diverging: bool) -> None:
-        sym, d1, _, raw1 = e1
-        _, d2, _, raw2 = e2
-        if diverging and d1 == d2:
-            self.events.append(("reconverge", pair, sym, raw1, raw2))
-        child = _pair(d1, d2)
-        if child not in self.reached:
-            self.reached[child] = (pair, sym, raw1, raw2)
-            self.frontier.append(child)
-            view = self.view
-            if d1 != d2 and view.class_accepting(d1) and view.class_accepting(d2):
-                self.events.append(("accept", child))
+    def _advance(self) -> bool:
+        """Run the search on to its next event or to the end of a pair's
+        expansion; False when it is explored to the end."""
+        if self._paused is not None:
+            if not next(self._paused, False):
+                self._paused = None
+        elif len(self._marks) < len(self._keys):
+            self.expand_one()
+        else:
+            return False
+        return True
+
+    def _expansion(self, pair):
+        """Every same-symbol edge pair of ``pair``'s classes, in edge order;
+        yields True after each step that appended an event."""
+        view, reached, events, keys, first = (
+            self.view, self.reached, self.events, self._keys, self._first)
+        accepting = view.class_accepting
+        p, q = pair
+        edges_p = view.edges_from(p)
+        edges_q = edges_p if p == q else view.edges_from(q)
+        for i, e1 in enumerate(edges_p):
+            sym, d1, _, raw1 = e1
+            # edges are sorted by symbol; a self pair takes each edge pair once
+            for e2 in edges_p[i:] if p == q else edges_q:
+                if e2[0] != sym:
+                    if e2[0] > sym:
+                        break
+                    continue
+                _, d2, _, raw2 = e2
+                emitted = False
+                if d1 == d2 and e2 != e1:
+                    events.append(("reconverge", pair, sym, raw1, raw2))
+                    emitted = True
+                child = (d1, d2) if d1 <= d2 else (d2, d1)
+                if child not in reached:
+                    reached[child] = (pair, sym, raw1, raw2)
+                    first.setdefault(d1, len(keys))
+                    first.setdefault(d2, len(keys))
+                    keys.append(child)
+                    if d1 != d2 and accepting(d1) and accepting(d2):
+                        events.append(("accept", child))
+                        emitted = True
+                if emitted:
+                    yield True
 
     def explore(self) -> None:
-        while self.frontier:
-            self.expand_one()
+        while self._advance():
+            pass
 
     def merge_update(self, keep: int, drop: int) -> None:
-        """Fold ``drop`` into ``keep`` and restart the search from the root
-        pair; exploration is resumed lazily (call ``explore`` or
-        ``next_witness``)."""
-        self.view.union(keep, drop)
-        self._restart()
+        """Fold ``drop`` into ``keep`` and cut the search back to the first
+        expansion that the union changes; exploration is resumed lazily (call
+        ``explore`` or ``next_witness``)."""
+        view = self.view
+        keep, drop = sorted((view.find(keep), view.find(drop)))  # the lesser stays
+        gained = view.class_accepting(drop) and not view.class_accepting(keep)
+        first = self._first
+        # the first expansion that reads an edge list the union dropped ...
+        touched = view.union(keep, drop)
+        cut = min((first[c] for c in touched if c in first), default=len(self._keys))
+        # ... or that discovered a pair holding keep, if keep's acceptance
+        # changes the accept events emitted at discovery
+        if gained and first.get(keep, 0) > 0:
+            cut = min(cut, bisect_right(self._marks, first[keep], key=itemgetter(0)) - 1)
+        self._cursor = 0  # a restart reads every event again
+        if cut == 0:
+            self._restart()
+        elif cut < len(self._marks):
+            self._cut(cut)
+
+    def _cut(self, k: int) -> None:
+        """Drop the k-th expansion and every later one, with what they
+        discovered and the events they appended."""
+        size, n_events = self._marks[k]
+        reached, keys, first = self.reached, self._keys, self._first
+        for index in range(len(keys) - 1, size - 1, -1):
+            pair = keys[index]
+            del reached[pair]
+            for c in pair:
+                if first.get(c) == index:
+                    del first[c]
+        del keys[size:]
+        del self.events[n_events:]
+        del self._marks[k:]
+        self._paused = None
 
     # -- witness extraction -------------------------------------------------
 
@@ -362,9 +455,7 @@ class PairSearchState:
                 witness = self._build_witness(event)
                 if witness is not None:
                     return witness
-            if self.frontier:
-                self.expand_one()
-            else:
+            if not self._advance():
                 return None
 
 

@@ -127,6 +127,11 @@ def parse_samples(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(t: Transducer) -> str:
     lines = ["digraph fst {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in sorted(t.states):
@@ -135,7 +140,7 @@ def export_dot(t: Transducer) -> str:
     lines.append(f"  __start -> q{t.initial};")
     for tr in t.transitions:
         out = tr.out if tr.out else "ε"
-        lines.append(f'  q{tr.src} -> q{tr.dst} [label="{tr.symbol}/{out}"];')
+        lines.append(f"  q{tr.src} -> q{tr.dst} [label={_dot_string(tr.symbol + '/' + out)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

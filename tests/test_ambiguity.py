@@ -1,11 +1,13 @@
 """Squared-automaton reachability, witnesses, merge updates."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from fstlearn.ambiguity import (
     AmbiguousPathPair,
+    PairSearchState,
     QuotientView,
     find_ambiguity,
     square_reach,
@@ -132,24 +134,44 @@ def test_merge_update_adds_sibling_pairs():
     assert (4, 5) in canon
 
 
-def test_merge_update_of_untouched_states_changes_nothing():
+def test_merge_update_of_untouched_states_changes_nothing(monkeypatch):
+    # The root's expansion pauses at the accept event of {1,2}.  Classes 4
+    # and 5, and 3 and 4 with edges into 5, are held by no reached pair, so
+    # the union cuts nothing: every reached pair, every event and the paused
+    # expansion stay, and exploring on expands each pair once.
     t = Transducer(
-        [0, 1, 2], "a", "xy", 0, [1, 2], [(0, "a", 1, "x"), (0, "a", 2, "y")]
+        [0, 1, 2, 3, 4, 5],
+        "ab",
+        "xy",
+        0,
+        [1, 2, 5],
+        [
+            (0, "a", 1, "x"),
+            (0, "a", 2, "y"),
+            (1, "b", 3, "x"),
+            (3, "b", 4, "x"),
+            (4, "b", 5, "x"),
+            (3, "a", 5, "y"),
+        ],
     )
-    st = square_reach(t)
-    before = set(st.reached)
-    # states 1,2 appear in pairs; merge two fresh ids that appear in no pair
-    # by merging states that are never co-reached: the diagonal-only machine
-    t2 = Transducer(
-        [0, 1, 2], "ab", "xy", 0, [1, 2], [(0, "a", 1, "x"), (0, "b", 2, "y")]
-    )
-    st2 = square_reach(t2)
-    reached_before = {p for p in st2.reached}
-    st2.merge_update(1, 2)
-    st2.explore()
-    canon = {(min(st2.view.find(a), st2.view.find(b)),
-              max(st2.view.find(a), st2.view.find(b))) for a, b in reached_before}
-    assert set(st2.reached) == canon
+    expanded = []
+    expand_one = PairSearchState.expand_one
+
+    def counted(self):
+        expanded.append(self._keys[len(self._marks)])
+        expand_one(self)
+
+    monkeypatch.setattr(PairSearchState, "expand_one", counted)
+    st = PairSearchState(QuotientView(t))
+    assert st.next_witness() is not None
+    before = (list(st.reached.items()), list(st.events), list(st._marks), st._paused)
+    assert before[0] == [((0, 0), None), ((1, 1), ((0, 0), "a", (0, "a", 1), (0, "a", 1))),
+                         ((1, 2), ((0, 0), "a", (0, "a", 1), (0, "a", 2)))]
+    st.merge_update(4, 5)
+    assert (list(st.reached.items()), st.events, st._marks, st._paused) == before
+    st.explore()
+    assert len(expanded) == len(set(expanded)) == len(st.reached)
+    assert list(st.reached.items()) == list(square_reach(t, aliases=[(4, 5)]).reached.items())
 
 
 def _canonical_reached(st):
@@ -226,6 +248,64 @@ def test_indexed_view_matches_a_fresh_view_under_unions_and_push_backs():
                     )
                     assert view.incoming_edges(cls) == _scanned_incoming(view, cls)
     assert pushed >= 20
+
+
+def _fresh_search(base, unions, overlay):
+    view = QuotientView(base)
+    for a, b in unions:
+        view.union(a, b)
+    for key, out in overlay.items():
+        view.set_out(key, out)
+    st = PairSearchState(view)
+    st.explore()
+    return st
+
+
+def test_merge_update_keeps_an_exact_prefix_of_a_fresh_search():
+    # Random witness reads, unions and push-backs on one session.  After each
+    # step the search must be a prefix, in order and with the same
+    # back-pointers and events, of a fresh search of the same view explored to
+    # the end; push-backs change outputs only, which the search never reads.
+    rng = random.Random(67)
+    outcomes = Counter()
+    for _ in range(40):
+        t = random_machine(rng, max_states=6)
+        samples = {}
+        for word in words_up_to(t.input_alphabet, 4):
+            outs = transduce(t, word)
+            if outs:
+                samples[word] = min(outs)
+        tree, _ = build_prefix_tree(SampleSet(samples.items()))
+        for base in (t, tree):
+            states = sorted(base.states)
+            session = open_session(base, states[0], states[0])
+            st, view = session.search, session.view
+            keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
+            unions = []
+            for _ in range(12):
+                for _ in range(rng.randrange(4)):
+                    st.next_witness()
+                if rng.random() < 0.6 and len(states) > 1:
+                    a, b = rng.sample(states, 2)
+                    started = len(st._marks) if view.find(a) != view.find(b) else 0
+                    st.merge_update(a, b)
+                    unions.append((a, b))
+                    if started:
+                        kept = len(st._marks)
+                        outcomes["restart" if kept == 0 else "kept" if kept == started else "cut"] += 1
+                else:
+                    key = rng.choice(keys)
+                    out = view.out(key)
+                    if out:
+                        outcomes["pushed"] += push_back(session, key, out[rng.randrange(len(out)):])
+                fresh = _fresh_search(base, unions, view.overlay)
+                reached = list(st.reached.items())
+                assert reached == list(fresh.reached.items())[: len(reached)]
+                assert st.events == fresh.events[: len(st.events)]
+    assert outcomes["restart"] >= 70
+    assert outcomes["cut"] >= 70
+    assert outcomes["kept"] >= 30
+    assert outcomes["pushed"] >= 20
 
 
 def brute_force_ambiguous(t: Transducer, max_len: int) -> bool:

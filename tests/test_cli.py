@@ -273,6 +273,17 @@ def test_cmd_export_dot(tmp_path, capsys):
     assert 'label="a/x"' in out
 
 
+def test_cmd_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    samples = tmp_path / "samples.tsv"
+    machine = tmp_path / "m.fst"
+    write(samples, 'a"\tx\\\n')
+    assert main(["learn", str(samples), str(machine)]) == 0
+    assert main(["export-dot", str(machine)]) == 0
+    labels = re.findall(r'-> q\d+ \[label=("(?:[^"\\]|\\.)*")\];$', capsys.readouterr().out, re.M)
+    unquoted = {re.sub(r"\\(.)", r"\1", label[1:-1]) for label in labels}
+    assert unquoted == {'"/ε', "a/x\\"}
+
+
 def test_commands_are_deterministic(tmp_path):
     samples = tmp_path / "samples.tsv"
     write(samples, "a\tx\naa\txx\nb\ty\n")
