@@ -9,12 +9,13 @@ distinct same-symbol edges reconverging on one state class, and a reachable
 pair of two distinct accepting classes.
 
 ``QuotientView`` caches each class's sorted edge list and keeps each class's
-incoming raw transitions and acceptance up to date.  A union invalidates the
-edge lists of the two classes and of every class with an edge into the one
-folded away; a push-back's output write invalidates the edge list of the
-written edge's source class.  Unions and output writes go only through the
-view's ``union`` and ``set_out``, so no cached list outlives the facts it was
-built from.
+incoming raw transitions and acceptance up to date.  A union joins the edge
+lists of the two classes into the surviving one's and marks it stale, along
+with the list of every class with an edge into the one folded away; a stale
+list is re-keyed to the current classes when it is next read.  A push-back's
+output write drops the edge list of the written edge's source class.  Unions
+and output writes go only through the view's ``union`` and ``set_out``, so no
+cached list outlives the facts it was built from.
 
 The search is breadth-first and runs on the fly (Allauzen & Mohri,
 "Efficient algorithms for testing the twins property", 2003): pairs are
@@ -27,20 +28,20 @@ Why the kept part is exact.  An expansion reads the edges of its pair's two
 classes (symbol, destination class and representative raw key, never the
 output), whether each child pair is already reached, and the acceptance of a
 child's classes when it is discovered.  A union changes the edge lists of the
-classes it invalidates and, if only the folded-away class accepted, the
-acceptance of the surviving one.  So until the earliest expansion of a pair
-that holds an invalidated class, or the expansion that discovered the first
-pair holding a survivor that just became accepting, a restarted search reads
-the same facts in the same order: it discovers the same pairs with the same
-back-pointers and appends the same events.  None of those pairs holds the
-folded-away class, since only an expansion that follows an edge into it can
-discover one.  ``merge_update`` cuts the search back to that expansion, and
-the events are read again from the first, as after a restart.  A push-back
-needs no cut: it only runs when its target class has one incoming quotient
-edge, so the edge it rewrites is the only one of its class with that symbol
-and destination, and it prepends one string to every output leaving the
-target.  Neither changes the order of an edge list, which edges it folds
-together, or their representative raw keys.
+two classes and of every class with an edge into the folded-away one, and, if
+only the folded-away class accepted, the acceptance of the surviving one.  So
+until the earliest expansion of a pair that holds one of those classes, or the
+expansion that discovered the first pair holding a survivor that just became
+accepting, a restarted search reads the same facts in the same order: it
+discovers the same pairs with the same back-pointers and appends the same
+events.  None of those pairs holds the folded-away class, since only an
+expansion that follows an edge into it can discover one.  ``merge_update``
+cuts the search back to that expansion, and the events are read again from the
+first, as after a restart.  A push-back needs no cut: it only runs when its
+target class has one incoming quotient edge, so the edge it rewrites is the
+only one of its class with that symbol and destination, and it prepends one
+string to every output leaving the target.  Neither changes the order of an
+edge list, which edges it folds together, or their representative raw keys.
 
 Why the back-pointers stay a tree.  Every kept pair is canonical in the
 current view, and its back-pointer points to the pair whose expansion
@@ -102,19 +103,26 @@ class QuotientView:
     through ``union`` or ``set_out``, which keep three per-class facts
     current instead of recomputing them on each call:
 
-    - the sorted edge list of ``edges_from``, built on a miss.  ``union``
-      drops the entries of both classes and of every class with an edge into
-      the dropped one, whose destinations and dedup change; ``set_out`` drops
-      the entry of the source class of the written key.
+    - the sorted edge list of ``edges_from``.  ``union`` joins the lists of
+      the two classes into the survivor's, first building a missing one from
+      its members, and marks it stale, along with the list of every class
+      with an edge into the dropped one; if neither class had a list, the
+      survivor gets none.  A read re-keys a stale list: it maps each
+      destination to its class, keeps the least raw key of each group of
+      equal edges, and sorts.  A union never changes an output, and the least
+      key of a merged group is the least of the groups' least keys, so this
+      equals a build from the members, which is left only for a class with no
+      list.  ``set_out`` drops the list of the written key's source class.
     - the raw keys entering each class, built once from the base machine;
       ``union`` merges the two lists, the smaller into the larger (Hopcroft &
       Karp, "A linear algorithm for testing equivalence of finite automata",
-      1971).  It finds the classes to invalidate and answers
+      1971).  It finds the classes to mark stale and answers
       ``incoming_edges``.
     - the set of accepting classes, updated by ``union``.
     """
 
-    __slots__ = ("base", "uf", "overlay", "_raw_out", "_edges", "_incoming", "_accepting")
+    __slots__ = (
+        "base", "uf", "overlay", "_raw_out", "_edges", "_stale", "_incoming", "_accepting")
 
     def __init__(self, base: Transducer):
         self.base = base
@@ -122,6 +130,7 @@ class QuotientView:
         self.overlay: dict[RawKey, str] = {}
         self._raw_out: dict[RawKey, str] = {}
         self._edges: dict[int, tuple] = {}
+        self._stale: dict[int, Iterable[tuple]] = {}
         self._incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
         for tr in base.transitions:
             key = (tr.src, tr.symbol, tr.dst)
@@ -134,16 +143,27 @@ class QuotientView:
 
     def union(self, a: int, b: int) -> set[int]:
         """Merge the classes of ``a`` and ``b``; returns the classes whose edge
-        lists this drops (none if ``a`` and ``b`` were one class already)."""
+        lists this changes (none if ``a`` and ``b`` were one class already)."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return set()
+        ea, eb = self._uncache(ra), self._uncache(rb)
+        joined = None
+        if ea is not None or eb is not None:
+            # the survivor's list is the two joined; a missing one is built
+            # from its own members, before the union adds the other's
+            joined = [*(self._member_edges(ra) if ea is None else ea),
+                      *(self._member_edges(rb) if eb is None else eb)]
         keep = self.uf.union(ra, rb)
         drop = rb if keep == ra else ra
         into_keep, into_drop = self._incoming[keep], self._incoming.pop(drop)
         touched = {keep, drop, *(self.find(src) for src, _, _ in into_drop)}
         for cls in touched:
-            self._edges.pop(cls, None)
+            edges = self._edges.pop(cls, None)
+            if edges is not None:
+                self._stale[cls] = edges
+        if joined is not None:
+            self._stale[keep] = joined
         if len(into_keep) < len(into_drop):
             into_keep, into_drop = into_drop, into_keep
         into_keep += into_drop
@@ -153,13 +173,19 @@ class QuotientView:
             self._accepting.add(keep)
         return touched
 
+    def _uncache(self, cls: int) -> Optional[Iterable[tuple]]:
+        """Remove a class's edge list, fresh or stale, from the cache and
+        return it; None if it had none."""
+        edges = self._edges.pop(cls, None)
+        return self._stale.pop(cls, None) if edges is None else edges
+
     def out(self, key: RawKey) -> str:
         return self.overlay.get(key, self._raw_out[key])
 
     def set_out(self, key: RawKey, out: str) -> None:
         """Record a new output for one raw transition."""
         self.overlay[key] = out
-        self._edges.pop(self.find(key[0]), None)
+        self._uncache(self.find(key[0]))
 
     def class_accepting(self, cls: int) -> bool:
         return cls in self._accepting
@@ -169,17 +195,27 @@ class QuotientView:
         raw key) leaving a class, sorted."""
         edges = self._edges.get(cls)
         if edges is None:
+            entries = self._stale.pop(cls, None)
+            if entries is None:
+                entries = self._member_edges(cls)
+            find = self.uf.find
             seen: dict[tuple[str, int, str], RawKey] = {}
-            for q in self.uf.members[cls]:
-                for sym, dst, _ in self.base.arcs_from(q):
-                    key = (q, sym, dst)
-                    edge = (sym, self.uf.find(dst), self.out(key))
-                    if edge not in seen or key < seen[edge]:
-                        seen[edge] = key
-            edges = self._edges[cls] = tuple(
-                sorted((s, d, o, seen[(s, d, o)]) for (s, d, o) in seen)
-            )
+            for sym, dst, out, key in entries:
+                edge = (sym, find(dst), out)
+                if edge not in seen or key < seen[edge]:
+                    seen[edge] = key
+            edges = self._edges[cls] = tuple(sorted(e + (k,) for e, k in seen.items()))
         return edges
+
+    def _member_edges(self, cls: int) -> list[tuple[str, int, str, RawKey]]:
+        """The raw arcs leaving a class's members, as (symbol, raw dst,
+        output, raw key) entries."""
+        entries = []
+        for q in self.uf.members[cls]:
+            for sym, dst, _ in self.base.arcs_from(q):
+                key = (q, sym, dst)
+                entries.append((sym, dst, self.out(key), key))
+        return entries
 
     def incoming_edges(self, cls: int) -> set[tuple[int, str, str]]:
         """Distinct quotient edges (src class, symbol, output) entering a class."""
@@ -339,7 +375,7 @@ class PairSearchState:
         keep, drop = sorted((view.find(keep), view.find(drop)))  # the lesser stays
         gained = view.class_accepting(drop) and not view.class_accepting(keep)
         first = self._first
-        # the first expansion that reads an edge list the union dropped ...
+        # the first expansion that reads an edge list the union changed ...
         touched = view.union(keep, drop)
         cut = min((first[c] for c in touched if c in first), default=len(self._keys))
         # ... or that discovered a pair holding keep, if keep's acceptance

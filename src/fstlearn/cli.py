@@ -311,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check" and not (args.functional or args.ambiguity or args.lpp):
+        parser.error("check: give at least one of --functional, --ambiguity, --lpp")
     try:
         return args.fn(args)
     except (FormatError, OSError, UnicodeDecodeError) as exc:

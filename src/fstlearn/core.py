@@ -119,13 +119,16 @@ class Transducer:
         )
 
     def arcs_from(self, state: int, symbol: Optional[str] = None):
-        """Outgoing (symbol, dst, out) triples of a state, sorted."""
+        """Outgoing (symbol, dst, out) triples of a state, sorted.
+
+        ``_adj`` is filled from the sorted ``transitions``, so each state's
+        symbols are inserted, and iterated, in sorted order."""
         by_sym = self._adj.get(state, {})
         if symbol is not None:
             return [(symbol, d, o) for d, o in by_sym.get(symbol, [])]
         out = []
-        for sym in sorted(by_sym):
-            for d, o in by_sym[sym]:
+        for sym, arcs in by_sym.items():
+            for d, o in arcs:
                 out.append((sym, d, o))
         return out
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Transducer, renumber, trim
-from .errors import ConflictError
+from .errors import ConfigurationError, ConflictError
 from .merge import try_merge
 from .ptree import SampleSet, build_prefix_tree
 
@@ -20,7 +20,7 @@ class LearnerConfig:
 
     def __post_init__(self):
         if self.max_merge_passes < 1:
-            raise ValueError("max_merge_passes must be at least 1")
+            raise ConfigurationError("max_merge_passes must be at least 1")
 
 
 @dataclass

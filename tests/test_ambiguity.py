@@ -205,22 +205,28 @@ def _scanned_incoming(view, cls):
     }
 
 
+def _machine_and_its_tree(t):
+    """``t``, and the prefix tree of its relation up to length 4 (one output
+    per input): a cyclic base, and one where push-backs are legal."""
+    samples = {}
+    for word in words_up_to(t.input_alphabet, 4):
+        outs = transduce(t, word)
+        if outs:
+            samples[word] = min(outs)
+    tree, _ = build_prefix_tree(SampleSet(samples.items()))
+    return t, tree
+
+
 def test_indexed_view_matches_a_fresh_view_under_unions_and_push_backs():
     # Every class's cached edges are compared after every step, so each later
-    # union or push-back meets a full cache that it must invalidate.  Random
+    # union or push-back meets a full cache that it must keep current.  Random
     # machines give cyclic bases; prefix trees of their samples give bases
     # where push-backs are legal (one incoming edge, non-accepting target).
     rng = random.Random(59)
     pushed = 0
     for _ in range(30):
         t = random_machine(rng, max_states=6)
-        samples = {}
-        for word in words_up_to(t.input_alphabet, 4):
-            outs = transduce(t, word)
-            if outs:
-                samples[word] = min(outs)
-        tree, _ = build_prefix_tree(SampleSet(samples.items()))
-        for base in (t, tree):
+        for base in _machine_and_its_tree(t):
             states = sorted(base.states)
             session = open_session(base, states[0], states[0])
             view = session.view
@@ -248,6 +254,57 @@ def test_indexed_view_matches_a_fresh_view_under_unions_and_push_backs():
                     )
                     assert view.incoming_edges(cls) == _scanned_incoming(view, cls)
     assert pushed >= 20
+
+
+def _scanned_edges(view, cls):
+    least = {}
+    for tr in view.base.transitions:
+        key = (tr.src, tr.symbol, tr.dst)
+        if view.find(tr.src) == cls:
+            edge = (tr.symbol, view.find(tr.dst), view.out(key))
+            least[edge] = min(least.get(edge, key), key)
+    return tuple(sorted(edge + (key,) for edge, key in least.items()))
+
+
+def test_cached_edges_match_a_scan_when_read_sparsely():
+    # Only a random subset of classes is read between steps, so unions meet
+    # classes with no list, with a fresh one and with a stale one, and a stale
+    # list can be joined again before it is re-keyed.  Every read and, at the
+    # end, every class must equal a scan of the base machine's transitions.
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(40):
+        t = random_machine(rng, max_states=7)
+        for base in _machine_and_its_tree(t):
+            states = sorted(base.states)
+            session = open_session(base, states[0], states[0])
+            view = session.view
+            keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
+            for _ in range(12):
+                if rng.random() < 0.5 and len(states) > 1:
+                    a, b = rng.sample(states, 2)
+                    ra, rb = view.find(a), view.find(b)
+                    if ra != rb:
+                        cached = [r in view._edges or r in view._stale for r in (ra, rb)]
+                        seen[("none", "one", "both")[sum(cached)]] += 1
+                        seen["stale joined"] += ra in view._stale or rb in view._stale
+                    view.union(a, b)
+                else:
+                    key = rng.choice(keys)
+                    out = view.out(key)
+                    if out:
+                        seen["pushed"] += push_back(session, key, out[rng.randrange(len(out)):])
+                classes = view.uf.classes()
+                for cls in rng.sample(classes, rng.randrange(len(classes) // 2 + 1)):
+                    seen["stale read"] += cls in view._stale
+                    assert view.edges_from(cls) == _scanned_edges(view, cls)
+            for cls in view.uf.classes():
+                seen["stale read"] += cls in view._stale
+                assert view.edges_from(cls) == _scanned_edges(view, cls)
+    assert min(seen["none"], seen["one"], seen["both"]) >= 40
+    assert seen["stale joined"] >= 40
+    assert seen["stale read"] >= 200
+    assert seen["pushed"] >= 20
 
 
 def _fresh_search(base, unions, overlay):

@@ -175,6 +175,19 @@ def test_cmd_check_zero_bound_vacuous(tmp_path, capsys):
     assert main(["check", str(machine), "--functional", "--max-len", "0"]) == 0
 
 
+def test_cmd_check_without_a_property_is_an_argument_error(tmp_path, capsys):
+    # with no property to check, printing nothing and exiting 0 would read
+    # as a pass
+    machine = tmp_path / "m.fst"
+    write(machine, serialize_machine(LOOP))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(machine), "--max-len", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--functional, --ambiguity, --lpp" in captured.err
+
+
 def test_cmd_transform_totalize(tmp_path):
     machine = tmp_path / "m.fst"
     out = tmp_path / "total.fst"

@@ -8,8 +8,8 @@ import pytest
 
 from fstlearn import ambiguity
 from fstlearn.cli import serialize_machine
-from fstlearn.core import transduce
-from fstlearn.errors import ConflictError, ToolkitError
+from fstlearn.core import Transducer, transduce
+from fstlearn.errors import ConfigurationError, ConflictError, ToolkitError
 from fstlearn.infer import LearnerConfig, infer, split_epsilon, state_order
 from fstlearn.oracle import equivalent_up_to, generate_informant
 from fstlearn.ptree import SampleSet, build_prefix_tree
@@ -164,7 +164,8 @@ def test_infer_random_conforming_sample_sets_stay_consistent():
 
 
 def test_learner_config_validation():
-    with pytest.raises(ValueError):
+    # a ToolkitError, so callers that catch the toolkit's errors see it
+    with pytest.raises(ConfigurationError):
         LearnerConfig(max_merge_passes=0)
 
 
@@ -229,3 +230,24 @@ def test_nondet_reject_learns_without_re_expanding_the_pair_search(monkeypatch):
     model = infer(generate_informant(target, 8))
     assert len(model.machine.states) == 4
     assert calls <= 2500
+
+
+def test_nondet_reject_learns_without_rebuilding_edge_lists_from_members(monkeypatch):
+    # A union joins the two classes' cached edge lists and re-keys the lists
+    # that point into the folded class, so learning the full informant of
+    # nondet_reject at L=8 reads the arcs of about 1,300 states.  Dropping
+    # each list and rebuilding it from every member's arcs read 10,546.
+    calls = 0
+    arcs_from = Transducer.arcs_from
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return arcs_from(self, *args)
+
+    target = dict((name, t) for name, t, _ in BATTERY)["nondet_reject"]
+    informant = generate_informant(target, 8)
+    monkeypatch.setattr(Transducer, "arcs_from", counted)
+    model = infer(informant)
+    assert len(model.machine.states) == 4
+    assert calls <= 3000
