@@ -46,9 +46,10 @@ edge list, which edges it folds together, or their representative raw keys.
 Why the back-pointers stay a tree.  Every kept pair is canonical in the
 current view, and its back-pointer points to the pair whose expansion
 discovered it, which has a smaller index in discovery order.  A walk up from
-any pair therefore reaches the root pair.  Witness paths are rebuilt along
-that tree with outputs resolved at reconstruction time, so push-backs applied
-after discovery are reflected faithfully.
+any pair therefore reaches the root pair.  A witness is rebuilt along that
+tree as the two sides' raw keys; a caller reads classes and outputs through
+the view when it uses them, so push-backs applied after discovery are
+reflected faithfully.
 """
 
 from __future__ import annotations
@@ -257,8 +258,6 @@ class AmbiguousPathPair:
 
     path_a: Path
     path_b: Path
-    raw_a: tuple[RawKey, ...]
-    raw_b: tuple[RawKey, ...]
 
     def __post_init__(self):
         if self.path_a.input_word != self.path_b.input_word:
@@ -407,29 +406,29 @@ class PairSearchState:
     # -- witness extraction -------------------------------------------------
 
     def _thread(self, pair, last: Optional[tuple] = None) -> tuple[list, list]:
-        """The two sides of the walk from the root pair down the back-pointer
-        tree to ``pair``, then along ``last`` (symbol, raw key, raw key) if
-        given, as lists of (Transition, raw key)."""
+        """The raw keys of the two sides of the walk from the root pair down
+        the back-pointer tree to ``pair``, then along ``last`` (symbol, raw
+        key, raw key) if given."""
         steps = [] if last is None else [last]
         entry = self.reached[pair]
         while entry is not None:
             parent, *step = entry
             steps.append(step)
             entry = self.reached[parent]
-        view = self.view
-        sa = sb = view.initial_class()
+        find = self.view.find
+        sa = self.view.initial_class()
         side_a, side_b = [], []
-        for sym, raw1, raw2 in reversed(steps):
-            if view.find(raw1[0]) != sa:
+        for _, raw1, raw2 in reversed(steps):
+            if find(raw1[0]) != sa:
                 raw1, raw2 = raw2, raw1
-            side_a.append((Transition(sa, sym, view.find(raw1[2]), view.out(raw1)), raw1))
-            side_b.append((Transition(sb, sym, view.find(raw2[2]), view.out(raw2)), raw2))
-            sa, sb = side_a[-1][0].dst, side_b[-1][0].dst
+            side_a.append(raw1)
+            side_b.append(raw2)
+            sa = find(raw1[2])
         return side_a, side_b
 
-    def _acceptance_extension(self, cls: int) -> Optional[list[tuple]]:
-        """Shortest quotient path from ``cls`` to an accepting class, as
-        (Transition, raw key) pairs; breadth-first, ties by edge order."""
+    def _acceptance_extension(self, cls: int) -> Optional[list[RawKey]]:
+        """The raw keys of a shortest quotient path from ``cls`` to an
+        accepting class; breadth-first, ties by edge order."""
         view = self.view
         if view.class_accepting(cls):
             return []
@@ -438,10 +437,10 @@ class PairSearchState:
         goal = None
         while queue and goal is None:
             cur = queue.popleft()
-            for sym, dst, out, raw in view.edges_from(cur):
+            for _, dst, _, raw in view.edges_from(cur):
                 if dst in prev:
                     continue
-                prev[dst] = (cur, sym, dst, out, raw)
+                prev[dst] = (cur, raw)
                 if view.class_accepting(dst):
                     goal = dst
                     break
@@ -451,39 +450,30 @@ class PairSearchState:
         ext = []
         node = goal
         while prev[node] is not None:
-            cur, sym, dst, out, raw = prev[node]
-            ext.append((Transition(cur, sym, dst, out), raw))
-            node = cur
+            node, raw = prev[node]
+            ext.append(raw)
         ext.reverse()
         return ext
 
-    def _build_witness(self, event) -> Optional[AmbiguousPathPair]:
+    def _build_witness(self, event) -> Optional[tuple[list, list]]:
         if event[0] == "accept":
-            side_a, side_b = self._thread(event[1])
-        else:
-            _, parent, sym, raw1, raw2 = event
-            view = self.view
-            c1, c2 = ((view.find(r[0]), view.out(r)) for r in (raw1, raw2))
-            # the edges share symbol and destination class by construction,
-            # but a push-back after their discovery can have fused them
-            if c1 == c2:
-                return None
-            ext = self._acceptance_extension(view.find(raw1[2]))
-            if ext is None:
-                return None
-            side_a, side_b = self._thread(parent, (sym, raw1, raw2))
-            side_a += ext
-            side_b += ext
-        return AmbiguousPathPair(
-            Path(tuple(tr for tr, _ in side_a)),
-            Path(tuple(tr for tr, _ in side_b)),
-            tuple(raw for _, raw in side_a),
-            tuple(raw for _, raw in side_b),
-        )
+            return self._thread(event[1])
+        _, parent, sym, raw1, raw2 = event
+        view = self.view
+        c1, c2 = ((view.find(r[0]), view.out(r)) for r in (raw1, raw2))
+        # the edges share symbol and destination class by construction, but a
+        # push-back after their discovery can have fused them
+        if c1 == c2:
+            return None
+        ext = self._acceptance_extension(view.find(raw1[2]))
+        if ext is None:
+            return None
+        side_a, side_b = self._thread(parent, (sym, raw1, raw2))
+        return side_a + ext, side_b + ext
 
-    def next_witness(self) -> Optional[AmbiguousPathPair]:
-        """Consume events (expanding as needed) until a valid witness or
-        exhaustion."""
+    def next_witness(self) -> Optional[tuple[list, list]]:
+        """Consume events (expanding as needed) until a valid witness, as the
+        raw keys of its two sides, or exhaustion."""
         while True:
             while self._cursor < len(self.events):
                 event = self.events[self._cursor]
@@ -509,11 +499,17 @@ def square_reach(t: Transducer, aliases=()) -> PairSearchState:
 def find_ambiguity(t: Transducer, st: PairSearchState) -> Optional[AmbiguousPathPair]:
     """First valid witness of ambiguity in discovery order, if any.
 
-    ``st`` must be fully explored; the scan does not consume events.
+    Explores ``st`` to the end first; the scan does not consume events.
     """
+    view = st.view
+
+    def path(keys) -> Path:
+        find = view.find
+        return Path(tuple(Transition(find(k[0]), k[1], find(k[2]), view.out(k)) for k in keys))
+
     st.explore()
     for event in st.events:
         witness = st._build_witness(event)
         if witness is not None:
-            return witness
+            return AmbiguousPathPair(*map(path, witness))
     return None

@@ -93,6 +93,8 @@ def parse_machine(text: str) -> tuple[Transducer, Optional[str]]:
             elif fields[0] == "epsilon-output":
                 if len(fields) != 2:
                     raise FormatError(f"line {lineno}: bad epsilon-output")
+                if epsilon_output is not None:
+                    raise FormatError(f"line {lineno}: duplicate epsilon-output")
                 epsilon_output = "" if fields[1] == "-" else fields[1]
             else:
                 raise FormatError(f"line {lineno}: unknown record {fields[0]!r}")
@@ -153,11 +155,21 @@ def _load_machine(path: str) -> tuple[Transducer, Optional[str]]:
         return parse_machine(fh.read())
 
 
+def _echo_attempt(entry: dict) -> None:
+    """Print one line on stderr for a merge attempt of ``infer``'s trace."""
+    a, b = entry["pair"]
+    if entry["kind"] == "merge_committed":
+        outcome = f"committed ({entry['forced']} forced, {entry['push_backs']} push-backs)"
+    else:
+        outcome = f"rejected ({entry['reason']})"
+    print(f"merge {a}+{b}: {outcome}", file=sys.stderr)
+
+
 def cmd_learn(args) -> int:
     with open(args.samples, "r", encoding="utf-8") as fh:
         pairs = parse_samples(fh.read())
-    cfg = LearnerConfig(max_merge_passes=args.max_passes, emit_trace=args.trace)
-    model = infer(pairs, cfg)
+    cfg = LearnerConfig(max_merge_passes=args.max_passes)
+    model = infer(pairs, cfg, trace=_echo_attempt if args.trace else None)
     text = serialize_machine(model.machine, model.epsilon_output)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -233,12 +245,15 @@ def cmd_transform(args) -> int:
 
 
 def cmd_gen_informant(args) -> int:
-    machine, _ = _load_machine(args.machine)
+    machine, epsilon_output = _load_machine(args.machine)
     try:
         pairs = oracle.generate_informant(machine, args.max_len)
     except ToolkitError as exc:  # a non-functional machine
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if epsilon_output is not None:
+        # the empty input maps to the file's epsilon output, as in ``eval``
+        pairs = [("", epsilon_output)] + [pair for pair in pairs if pair[0] != ""]
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_samples(pairs))
     return 0

@@ -3,9 +3,8 @@ length-lexicographic double loop of merge attempts."""
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import Transducer, renumber, trim
 from .errors import ConfigurationError, ConflictError
@@ -16,7 +15,6 @@ from .ptree import SampleSet, build_prefix_tree
 @dataclass
 class LearnerConfig:
     max_merge_passes: int = 1
-    emit_trace: bool = False
 
     def __post_init__(self):
         if self.max_merge_passes < 1:
@@ -58,7 +56,7 @@ def state_order(prefixes: list[tuple[str, str]]) -> list[int]:
 def infer(
     samples: Iterable[tuple[str, str]],
     cfg: Optional[LearnerConfig] = None,
-    trace: Optional[list] = None,
+    trace: Optional[Callable[[dict], None]] = None,
 ) -> LearnedModel:
     """Learn a transducer consistent with every sample.
 
@@ -66,12 +64,9 @@ def infer(
     for each, the inner loop retries every earlier surviving state until a
     merge commits.  A committed merge deletes the outer state (and any states
     the cascade folded), so the outer loop only ever visits survivors.
+    ``trace``, if given, is called once per merge attempt (see ``try_merge``).
     """
     cfg = cfg or LearnerConfig()
-    # a trace that only feeds the echo drops each event once it is printed
-    own_trace = cfg.emit_trace and trace is None
-    if own_trace:
-        trace = []
     sample_set, eps = split_epsilon(samples)
     tree, prefixes = build_prefix_tree(sample_set)
     order = state_order(prefixes)
@@ -87,8 +82,6 @@ def infer(
                 if inner not in hypothesis.states:
                     continue
                 merged = try_merge(hypothesis, inner, outer, trace=trace)
-                if cfg.emit_trace:
-                    _echo_trace_entry(trace.pop() if own_trace else trace[-1])
                 if merged is not None:
                     hypothesis = merged
                     changed = True
@@ -99,15 +92,3 @@ def infer(
     final_order = [q for q in order if q in hypothesis.states]
     return LearnedModel(renumber(hypothesis, final_order), eps)
 
-
-def _echo_trace_entry(entry: dict) -> None:
-    if entry["kind"] == "merge_committed":
-        a, b = entry["pair"]
-        print(
-            f"merge {a}+{b}: committed "
-            f"({len(entry['forced'])} forced, {len(entry['push_log'])} push-backs)",
-            file=sys.stderr,
-        )
-    else:
-        a, b = entry["pair"]
-        print(f"merge {a}+{b}: rejected ({entry['reason']})", file=sys.stderr)

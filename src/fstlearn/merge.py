@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from .ambiguity import AmbiguousPathPair, PairSearchState, QuotientView, RawKey
+from .ambiguity import PairSearchState, QuotientView, RawKey
 from .core import Transducer
 from .errors import InvariantError
 
@@ -23,17 +23,6 @@ SESSION_CAP = "session_cap"
 
 
 @dataclass
-class PushBack:
-    """One applied push-back: ``suffix`` moved off ``edge`` onto the outgoing
-    transitions of its target class."""
-
-    edge: tuple[int, str, int, str]  # (src class, symbol, dst class, output before)
-    suffix: str
-    target_was_accepting: bool
-    target_incoming_count: int
-
-
-@dataclass
 class MergeSession:
     """Private working state of one merge attempt."""
 
@@ -41,8 +30,8 @@ class MergeSession:
     search: PairSearchState
     root: int
     pending: deque = field(default_factory=deque)
-    push_log: list = field(default_factory=list)
-    forced_log: list = field(default_factory=list)
+    push_backs: int = 0  # applied push-backs
+    forced: int = 0  # unions made, the root pair's among them
     failure: Optional[str] = None
 
     @property
@@ -65,8 +54,7 @@ def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
     sym = raw_key[1]
     if view.class_accepting(dst_cls):
         return False
-    incoming = view.incoming_edges(dst_cls)
-    if len(incoming) != 1:
+    if len(view.incoming_edges(dst_cls)) != 1:
         return False
     for key in view.preimages(src_cls, sym, dst_cls, out):
         view.set_out(key, out[: -len(suffix)])
@@ -74,29 +62,35 @@ def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
         for s, dst, _ in view.base.arcs_from(member):
             key = (member, s, dst)
             view.set_out(key, suffix + view.out(key))
-    session.push_log.append(
-        PushBack((src_cls, sym, dst_cls, out), suffix, False, len(incoming))
-    )
+    session.push_backs += 1
     return True
 
 
-def unify_paths(session: MergeSession, witness: AmbiguousPathPair) -> bool:
-    """Make the two paths of a witness identical: equalize outputs position
-    by position with push-backs and schedule every state pair for merging.
-    Sets ``session.failure`` and returns False when unification is illegal."""
+def unify_paths(
+    session: MergeSession, raw_a: Sequence[RawKey], raw_b: Sequence[RawKey]
+) -> bool:
+    """Make the two sides of a witness, given as raw keys, one quotient path:
+    equalize outputs position by position with push-backs and schedule every
+    state pair for merging.  Sets ``session.failure`` and returns False when
+    unification is illegal."""
     view = session.view
-    n = len(witness.path_a.transitions)
+    find, out = view.find, view.out
+
+    def edge(key):  # the quotient edge that a raw key stands for
+        return find(key[0]), key[1], find(key[2]), out(key)
+
+    if [ka[1] for ka in raw_a] != [kb[1] for kb in raw_b]:
+        raise InvariantError("witness paths read different inputs")
+    if all(ka == kb or edge(ka) == edge(kb) for ka, kb in zip(raw_a, raw_b)):
+        raise InvariantError("witness paths are one quotient path")
+    n = len(raw_a)
     root_cls = session.root_class
-    for k in range(n):
-        ea = witness.path_a.transitions[k]
-        eb = witness.path_b.transitions[k]
-        ka = witness.raw_a[k]
-        kb = witness.raw_b[k]
-        da, db = ea.dst, eb.dst
+    for k, (ka, kb) in enumerate(zip(raw_a, raw_b)):
+        da, db = find(ka[2]), find(kb[2])
         if k < n - 1 and (da == root_cls) != (db == root_cls):
             session.failure = ROOT_ASYMMETRY
             return False
-        ga, gb = view.out(ka), view.out(kb)
+        ga, gb = out(ka), out(kb)
         if ga != gb:
             if k == n - 1:
                 session.failure = OUTPUT_CONFLICT
@@ -111,14 +105,14 @@ def unify_paths(session: MergeSession, witness: AmbiguousPathPair) -> bool:
             if not ok:
                 session.failure = PUSHBACK_BLOCKED
                 return False
-            if view.out(ka) != view.out(kb):
+            if out(ka) != out(kb):
                 session.failure = OUTPUT_CONFLICT  # self-loop cannot equalize
                 return False
         if da != db:
             session.pending.append((da, db))
-    for k in range(n):
-        if view.out(witness.raw_a[k]) != view.out(witness.raw_b[k]):
-            session.failure = OUTPUT_CONFLICT  # a later push-back undid position k
+    for ka, kb in zip(raw_a, raw_b):
+        if out(ka) != out(kb):
+            session.failure = OUTPUT_CONFLICT  # a later push-back undid it
             return False
     return True
 
@@ -143,7 +137,7 @@ def run_session(session: MergeSession) -> bool:
             if cx == cy:
                 continue
             keep, drop = (cx, cy) if cx < cy else (cy, cx)
-            session.forced_log.append((keep, drop))
+            session.forced += 1
             session.search.merge_update(keep, drop)
         witness = session.search.next_witness()
         if witness is None:
@@ -152,7 +146,7 @@ def run_session(session: MergeSession) -> bool:
         if seen > witness_cap:
             session.failure = SESSION_CAP
             return False
-        if not unify_paths(session, witness):
+        if not unify_paths(session, *witness):
             return False
 
 
@@ -172,30 +166,29 @@ def try_merge(
     h: Transducer,
     a: int,
     b: int,
-    trace: Optional[list] = None,
+    trace: Optional[Callable[[dict], None]] = None,
 ) -> Optional[Transducer]:
     """Attempt to identify states ``a`` and ``b`` (a < b) of ``h``.
 
     Returns the merged hypothesis on success and None on failure; ``h`` is
-    never modified.  ``trace``, if given, collects structured events.
+    never modified.  ``trace``, if given, is called once with a dict that
+    describes the attempt.
     """
     session = open_session(h, a, b)
-    if run_session(session):
-        machine = commit(session)
+    if not run_session(session):
         if trace is not None:
-            trace.append(
-                {
-                    "kind": "merge_committed",
-                    "pair": (a, b),
-                    "before": h,
-                    "after": machine,
-                    "push_log": list(session.push_log),
-                    "forced": list(session.forced_log),
-                }
-            )
-        return machine
+            trace({"kind": "merge_rejected", "pair": (a, b), "reason": session.failure})
+        return None
+    machine = commit(session)
     if trace is not None:
-        trace.append(
-            {"kind": "merge_rejected", "pair": (a, b), "reason": session.failure}
+        trace(
+            {
+                "kind": "merge_committed",
+                "pair": (a, b),
+                "before": h,
+                "after": machine,
+                "push_backs": session.push_backs,
+                "forced": session.forced,
+            }
         )
-    return None
+    return machine

@@ -14,7 +14,8 @@ from fstlearn.ambiguity import (
 )
 from fstlearn.core import Path, Transducer, Transition, transduce, trim
 from fstlearn.errors import InvariantError
-from fstlearn.merge import open_session, push_back
+from fstlearn.infer import infer
+from fstlearn.merge import open_session, push_back, run_session
 from fstlearn.oracle import accepting_paths, words_up_to
 from fstlearn.ptree import SampleSet, build_prefix_tree
 
@@ -205,15 +206,20 @@ def _scanned_incoming(view, cls):
     }
 
 
-def _machine_and_its_tree(t):
-    """``t``, and the prefix tree of its relation up to length 4 (one output
-    per input): a cyclic base, and one where push-backs are legal."""
+def _samples_of(t, max_len):
+    """``t``'s relation up to length ``max_len``, one output per input."""
     samples = {}
-    for word in words_up_to(t.input_alphabet, 4):
+    for word in words_up_to(t.input_alphabet, max_len):
         outs = transduce(t, word)
         if outs:
             samples[word] = min(outs)
-    tree, _ = build_prefix_tree(SampleSet(samples.items()))
+    return samples.items()
+
+
+def _machine_and_its_tree(t):
+    """``t``, and the prefix tree of its relation up to length 4: a cyclic
+    base, and one where push-backs are legal."""
+    tree, _ = build_prefix_tree(SampleSet(_samples_of(t, 4)))
     return t, tree
 
 
@@ -386,4 +392,70 @@ def test_oracle_agreement_on_random_machines():
 def test_witness_with_identical_paths_is_an_invariant_error():
     path = Path((Transition(0, "a", 1, "x"),))
     with pytest.raises(InvariantError):
-        AmbiguousPathPair(path, path, ((0, "a", 1),), ((0, "a", 1),))
+        AmbiguousPathPair(path, path)
+
+
+def _quotient_path(view, keys):
+    return Path(tuple(
+        Transition(view.find(k[0]), k[1], view.find(k[2]), view.out(k)) for k in keys))
+
+
+def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
+    # Every witness a session's search hands out, after the unions and
+    # push-backs that earlier witnesses caused, is two sequences of raw keys
+    # that read one input, each chaining from the initial class to an
+    # accepting class through the view, and not one quotient path.
+    next_witness = PairSearchState.next_witness
+    seen = Counter()
+
+    def checked(self):
+        witness = next_witness(self)
+        if witness is not None:
+            view = self.view
+            raw_a, raw_b = witness
+            assert [k[1] for k in raw_a] == [k[1] for k in raw_b]
+            for side in witness:
+                cls = view.initial_class()
+                for key in side:
+                    assert key in view._raw_out  # a transition of the base
+                    assert view.find(key[0]) == cls
+                    cls = view.find(key[2])
+                assert view.class_accepting(cls)
+            assert _quotient_path(view, raw_a) != _quotient_path(view, raw_b)
+            seen["witnesses"] += 1
+            seen["after a push-back"] += bool(view.overlay)
+        return witness
+
+    monkeypatch.setattr(PairSearchState, "next_witness", checked)
+    rng = random.Random(67)
+    for _ in range(30):
+        t = random_machine(rng, max_states=6)
+        states = sorted(t.states)
+        before = seen["witnesses"]
+        for _ in range(4):
+            a, b = sorted(rng.sample(states, 2)) if len(states) > 1 else (states[0],) * 2
+            run_session(open_session(t, a, b))
+        seen["on a cyclic base"] += seen["witnesses"] - before
+        infer(_samples_of(t, 5))  # the learner's sessions on a prefix tree
+    assert seen["witnesses"] >= 5000
+    assert seen["on a cyclic base"] >= 100
+    assert seen["after a push-back"] >= 25
+
+
+def test_first_witness_mapped_through_the_view_is_find_ambiguitys():
+    rng = random.Random(71)
+    ambiguous = 0
+    for _ in range(60):
+        t = random_machine(rng, max_states=6)
+        states = sorted(t.states)
+        aliases = [tuple(rng.sample(states, 2)) for _ in range(rng.randint(0, 2))
+                   if len(states) > 1]
+        st = square_reach(t, aliases)
+        expected = find_ambiguity(t, st)
+        witness = st.next_witness()
+        if expected is None:
+            assert witness is None
+            continue
+        ambiguous += 1
+        assert AmbiguousPathPair(*(_quotient_path(st.view, side) for side in witness)) == expected
+    assert ambiguous >= 20

@@ -14,6 +14,7 @@ from fstlearn.cli import (
 )
 from fstlearn.core import Transducer, transduce
 from fstlearn.errors import ConflictError, FormatError
+from fstlearn.infer import infer
 from fstlearn.oracle import equivalent_up_to
 
 LOOP = Transducer([0], "a", "x", 0, [0], [(0, "a", 0, "x")])
@@ -110,10 +111,20 @@ def test_cmd_learn_conflicting_file(tmp_path, capsys):
 
 
 def test_cmd_learn_trace(tmp_path, capsys):
+    # one line per merge attempt, as many as a list.append sink collects
+    pairs = [("a", "x"), ("aa", "y"), ("b", "y")]
     samples = tmp_path / "samples.tsv"
-    write(samples, "a\tx\naa\txx\n")
+    write(samples, serialize_samples(pairs))
     assert main(["learn", str(samples), str(tmp_path / "out.fst"), "--trace"]) == 0
-    assert "merge" in capsys.readouterr().err
+    echoed = capsys.readouterr().err.splitlines()
+    attempts = []
+    infer(pairs, trace=attempts.append)
+    assert {entry["kind"] for entry in attempts} == {"merge_committed", "merge_rejected"}
+    assert len(echoed) == len(attempts)
+    for line, entry in zip(echoed, attempts):
+        a, b = entry["pair"]
+        outcome = "committed" if entry["kind"] == "merge_committed" else "rejected"
+        assert line.startswith(f"merge {a}+{b}: {outcome} (")
 
 
 def test_cmd_eval_outputs(tmp_path, capsys):
@@ -266,6 +277,38 @@ def test_cmd_gen_informant_and_relearn(tmp_path):
     assert main(["learn", str(samples), str(relearned)]) == 0
     m2, _ = parse_machine(relearned.read_text())
     assert equivalent_up_to(m2, LOOP, 5).verdict
+
+
+@pytest.mark.parametrize("accepts_empty", [True, False])
+def test_cmd_gen_informant_keeps_the_epsilon_output(tmp_path, capsys, accepts_empty):
+    # the file's epsilon output is what ``eval --input ""`` prints, so the
+    # informant pairs the empty input with it, also when the initial state
+    # does not accept, and relearning keeps it
+    machine = tmp_path / "m.fst"
+    samples = tmp_path / "s.tsv"
+    relearned = tmp_path / "m2.fst"
+    if accepts_empty:
+        write(samples, "\tx\na\ty\naa\tyy\n")
+        assert main(["learn", str(samples), str(machine)]) == 0
+    else:
+        t = Transducer([0, 1], "a", "y", 0, [1], [(0, "a", 1, "y"), (1, "a", 1, "y")])
+        write(machine, serialize_machine(t, epsilon_output="x"))
+    assert main(["eval", str(machine), "--input", ""]) == 0
+    assert capsys.readouterr().out == "x\n"
+    assert main(["gen-informant", str(machine), str(samples), "--max-len", "2"]) == 0
+    assert parse_samples(samples.read_text()) == [("", "x"), ("a", "y"), ("aa", "yy")]
+    assert main(["learn", str(samples), str(relearned)]) == 0
+    assert parse_machine(relearned.read_text())[1] == "x"
+
+
+def test_parse_machine_duplicate_epsilon_output(tmp_path, capsys):
+    text = "fst a xz 0\nstate 0 accept\nepsilon-output x\nepsilon-output z\n"
+    with pytest.raises(FormatError, match="line 4: duplicate epsilon-output"):
+        parse_machine(text)
+    machine = tmp_path / "m.fst"
+    write(machine, text)
+    assert main(["eval", str(machine), "--input", ""]) == 2
+    assert "duplicate epsilon-output" in capsys.readouterr().err
 
 
 def test_cmd_gen_informant_nonfunctional(tmp_path, capsys):

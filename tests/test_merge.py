@@ -1,9 +1,9 @@
 """Merge sessions: unification, push-backs, rollback, commitment."""
 
-import random
+import pytest
 
-from fstlearn.ambiguity import AmbiguousPathPair, square_reach, find_ambiguity
-from fstlearn.core import Path, Transducer, Transition, transduce, trim
+from fstlearn.core import Transducer, transduce, trim
+from fstlearn.errors import InvariantError
 from fstlearn.merge import (
     OUTPUT_CONFLICT,
     PUSHBACK_BLOCKED,
@@ -14,7 +14,7 @@ from fstlearn.merge import (
     try_merge,
     unify_paths,
 )
-from fstlearn.oracle import equivalent_up_to, generate_informant, words_up_to
+from fstlearn.oracle import generate_informant, words_up_to
 from fstlearn.ptree import SampleSet, build_prefix_tree
 
 from machines import BATTERY
@@ -43,10 +43,11 @@ def test_merge_of_compatible_disjoint_states():
     # two leaves with empty residual conflicts merge without push-backs
     tree, _ = tree_of([("a", "x"), ("b", "y")])
     trace = []
-    merged = try_merge(tree, 1, 2, trace=trace)
+    merged = try_merge(tree, 1, 2, trace=trace.append)
     assert merged is not None
+    assert len(trace) == 1
     assert trace[-1]["kind"] == "merge_committed"
-    assert trace[-1]["push_log"] == []
+    assert trace[-1]["push_backs"] == 0
     assert transduce(merged, "a") == {"x"}
     assert transduce(merged, "b") == {"y"}
 
@@ -121,13 +122,7 @@ def test_unify_pushes_suffix_back():
         ],
     )
     session = _session_for(t, 3, 4)
-    witness = AmbiguousPathPair(
-        Path((Transition(0, "a", 1, "xy"), Transition(1, "b", 3, "z"))),
-        Path((Transition(0, "a", 2, "x"), Transition(2, "b", 3, "yz"))),
-        ((0, "a", 1), (1, "b", 3)),
-        ((0, "a", 2), (2, "b", 4)),
-    )
-    assert unify_paths(session, witness)
+    assert unify_paths(session, [(0, "a", 1), (1, "b", 3)], [(0, "a", 2), (2, "b", 4)])
     view = session.view
     assert view.out((0, "a", 1)) == "x"
     assert view.out((1, "b", 3)) == "yz"
@@ -139,13 +134,7 @@ def test_unify_total_output_conflict():
         [0, 1, 2], "a", "xyz", 0, [1, 2], [(0, "a", 1, "xy"), (0, "a", 2, "xz")]
     )
     session = _session_for(t, 1, 2)
-    witness = AmbiguousPathPair(
-        Path((Transition(0, "a", 1, "xy"),)),
-        Path((Transition(0, "a", 2, "xz"),)),
-        ((0, "a", 1),),
-        ((0, "a", 2),),
-    )
-    assert not unify_paths(session, witness)
+    assert not unify_paths(session, [(0, "a", 1)], [(0, "a", 2)])
     assert session.failure == OUTPUT_CONFLICT
 
 
@@ -165,14 +154,32 @@ def test_unify_root_asymmetry():
         ],
     ))
     session = _session_for(t, 0, 1)  # root pair is (0, 1)
-    witness = AmbiguousPathPair(
-        Path((Transition(0, "a", 0, "x"), Transition(0, "b", 3, "y"))),
-        Path((Transition(0, "a", 2, "x"), Transition(2, "b", 4, "y"))),
-        ((0, "a", 1), (1, "b", 3)),
-        ((0, "a", 2), (2, "b", 4)),
-    )
-    assert not unify_paths(session, witness)
+    assert not unify_paths(session, [(0, "a", 1), (1, "b", 3)], [(0, "a", 2), (2, "b", 4)])
     assert session.failure == ROOT_ASYMMETRY
+
+
+@pytest.mark.parametrize(
+    "raw_a, raw_b",
+    [
+        ([(0, "a", 1), (1, "b", 3)], [(0, "a", 1), (1, "b", 3)]),  # identical
+        ([(0, "a", 1)], [(0, "a", 2)]),  # distinct keys, one quotient edge
+        ([(0, "a", 1), (1, "b", 3)], [(0, "a", 2), (2, "c", 4)]),  # symbols differ
+        ([(0, "a", 1), (1, "b", 3)], [(0, "a", 2)]),  # lengths differ
+    ],
+    ids=["identical", "one-quotient-path", "other-symbols", "other-length"],
+)
+def test_unify_refuses_a_pair_that_is_no_witness(raw_a, raw_b):
+    t = Transducer(
+        [0, 1, 2, 3, 4],
+        "abc",
+        "x",
+        0,
+        [3, 4],
+        [(0, "a", 1, "x"), (0, "a", 2, "x"), (1, "b", 3, "x"), (2, "c", 4, "x")],
+    )
+    session = _session_for(t, 1, 2)
+    with pytest.raises(InvariantError):
+        unify_paths(session, raw_a, raw_b)
 
 
 def test_pushback_simple():
@@ -184,7 +191,7 @@ def test_pushback_simple():
     assert push_back(session, (0, "a", 1), "y")
     assert session.view.out((0, "a", 1)) == "x"
     assert session.view.out((1, "b", 2)) == "yz"
-    assert len(session.push_log) == 1
+    assert session.push_backs == 1
 
 
 def test_pushback_empty_suffix_is_noop():
@@ -193,7 +200,7 @@ def test_pushback_empty_suffix_is_noop():
     session.pending.clear()
     assert push_back(session, (0, "a", 1), "")
     assert session.view.out((0, "a", 1)) == "x"
-    assert session.push_log == []
+    assert session.push_backs == 0
 
 
 def test_pushback_blocked_on_accepting_target():
@@ -217,27 +224,3 @@ def test_pushback_blocked_on_multiple_incoming():
     session.pending.clear()
     assert not push_back(session, (0, "a", 1), "y")
 
-
-def test_push_log_records_only_legal_operations():
-    tree, _ = tree_of([("a", "x"), ("ab", "xy"), ("aa", "xx"), ("aab", "xxy")])
-    trace = []
-    order = sorted(tree.states)
-    h = tree
-    for outer in order:
-        if outer not in h.states or outer == h.initial:
-            continue
-        for inner in order:
-            if inner >= outer:
-                break
-            if inner not in h.states:
-                continue
-            merged = try_merge(h, inner, outer, trace=trace)
-            if merged is not None:
-                h = merged
-                break
-    for entry in trace:
-        if entry["kind"] != "merge_committed":
-            continue
-        for pb in entry["push_log"]:
-            assert not pb.target_was_accepting
-            assert pb.target_incoming_count == 1
