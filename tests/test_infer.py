@@ -1,12 +1,13 @@
 """The learner: side channel, ordering, the merge loop end to end."""
 
 import hashlib
+import importlib
 import random
 
 import pytest
 
 from fstlearn import ambiguity
-from fstlearn.cli import serialize_machine
+from fstlearn.cli import _echo_attempt, serialize_machine
 from fstlearn.core import Transducer, transduce
 from fstlearn.errors import ConfigurationError, ConflictError, ToolkitError
 from fstlearn.infer import LearnerConfig, infer, split_epsilon, state_order
@@ -109,6 +110,36 @@ def test_infer_monotone_state_count():
     assert sizes
     for before, after in sizes:
         assert after < before
+
+
+def test_echoed_trace_drops_each_event_unless_the_caller_keeps_it(
+    monkeypatch, capsys
+):
+    """The learner holds no trace events of its own: the CLI echo prints each
+    event and keeps none, so the commits' before/after machines do not pile
+    up; a callback that appends to a list keeps every event."""
+    infer_module = importlib.import_module("fstlearn.infer")  # not the function
+    sinks = []
+    real_try_merge = infer_module.try_merge
+
+    def spy(h, a, b, trace=None):
+        sinks.append(trace)
+        return real_try_merge(h, a, b, trace=trace)
+
+    monkeypatch.setattr(infer_module, "try_merge", spy)
+    samples = [("a", "x"), ("aa", "xx"), ("aaa", "xxx"), ("b", "y")]
+    infer(samples, trace=_echo_attempt)
+    echoed = capsys.readouterr().err.splitlines()
+    assert len(sinks) > 1 and all(sink is _echo_attempt for sink in sinks)
+    assert len(echoed) == len(sinks)
+
+    kept = []
+    infer(samples, trace=kept.append)
+    assert capsys.readouterr().err == ""
+    assert len(kept) == len(echoed)
+    for line, entry in zip(echoed, kept):
+        a, b = entry["pair"]
+        assert line.startswith(f"merge {a}+{b}: ")
 
 
 def test_infer_deterministic_runs():
