@@ -8,14 +8,15 @@ rewriting the machine.  Two kinds of witness event are collected: a pair of
 distinct same-symbol edges reconverging on one state class, and a reachable
 pair of two distinct accepting classes.
 
-``QuotientView`` caches each class's sorted edge list and keeps each class's
-incoming raw transitions and acceptance up to date.  A union joins the edge
-lists of the two classes into the surviving one's and marks it stale, along
-with the list of every class with an edge into the one folded away; a stale
-list is re-keyed to the current classes when it is next read.  A push-back's
-output write drops the edge list of the written edge's source class.  Unions
-and output writes go only through the view's ``union`` and ``set_out``, so no
-cached list outlives the facts it was built from.
+``QuotientView`` keeps each class's sorted edge list, its incoming raw
+transitions and its acceptance up to date.  Every class has an edge list from
+the moment the view opens.  A union joins the lists of the two classes into
+the surviving one's and marks it stale, along with the list of every class
+with an edge into the one folded away; a stale list is re-keyed to the current
+classes when it is next read.  An output write rebuilds the list of the
+written edge's source class from its members and marks it stale.  Unions and
+output writes go only through the view's ``union`` and ``set_out``, so no
+list outlives the facts it was built from.
 
 The search is breadth-first and runs on the fly (Allauzen & Mohri,
 "Efficient algorithms for testing the twins property", 2003): pairs are
@@ -29,19 +30,33 @@ classes (symbol, destination class and representative raw key, never the
 output), whether each child pair is already reached, and the acceptance of a
 child's classes when it is discovered.  A union changes the edge lists of the
 two classes and of every class with an edge into the folded-away one, and, if
-only the folded-away class accepted, the acceptance of the surviving one.  So
-until the earliest expansion of a pair that holds one of those classes, or the
-expansion that discovered the first pair holding a survivor that just became
-accepting, a restarted search reads the same facts in the same order: it
-discovers the same pairs with the same back-pointers and appends the same
-events.  None of those pairs holds the folded-away class, since only an
-expansion that follows an edge into it can discover one.  ``merge_update``
-cuts the search back to that expansion, and the events are read again from the
-first, as after a restart.  A push-back needs no cut: it only runs when its
-target class has one incoming quotient edge, so the edge it rewrites is the
-only one of its class with that symbol and destination, and it prepends one
-string to every output leaving the target.  Neither changes the order of an
-edge list, which edges it folds together, or their representative raw keys.
+only the folded-away class accepted, the acceptance of the surviving one,
+which is read only by an expansion that follows an edge into it.
+``QuotientView.union`` returns all of these classes: the ones whose lists
+change, and, on a gain of acceptance, the ones with an edge into the
+survivor.  Until the earliest expansion of a pair that holds one of them, a
+restarted search reads the same facts in the same order: it discovers the
+same pairs with the same back-pointers and appends the same events.  None of
+those pairs holds the folded-away class, since only an expansion that follows
+an edge into it can discover one.  ``merge_update`` cuts the search back to
+that expansion, and the events are read again from the first, as after a
+restart.  A push-back needs no cut: it only runs when its target class has
+one incoming quotient edge, so the edge it rewrites is the only one of its
+class with that symbol and destination, and it prepends one string to every
+output leaving the target.  Neither changes the order of an edge list, which
+edges it folds together, or their representative raw keys.
+
+Why a kept reconverge event still holds two quotient edges.  Its two edges
+are distinct entries of the edge lists of its pair's classes, with one symbol
+and one destination class, so they leave different classes or differ in
+output.  A union cuts every event of an expansion whose pair holds a merged
+class, so the classes a kept event's edges leave stay as they were.  A
+push-back rewrites only the edges into and out of its target, and it is
+refused when the target has two incoming quotient edges, as the event's
+destination class has; otherwise it prepends one string to every output
+leaving the target, which keeps two different outputs of one class different.
+So a witness built from a kept event is never one quotient path;
+``merge.unify_paths`` raises ``InvariantError`` on one.
 
 Why the back-pointers stay a tree.  Every kept pair is canonical in the
 current view, and its back-pointer points to the pair whose expansion
@@ -54,11 +69,9 @@ reflected faithfully.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import Path, Transducer, Transition
 from .errors import InvariantError
@@ -104,81 +117,77 @@ class QuotientView:
     through ``union`` or ``set_out``, which keep three per-class facts
     current instead of recomputing them on each call:
 
-    - the sorted edge list of ``edges_from``.  ``union`` joins the lists of
-      the two classes into the survivor's, first building a missing one from
-      its members, and marks it stale, along with the list of every class
-      with an edge into the dropped one; if neither class had a list, the
-      survivor gets none.  A read re-keys a stale list: it maps each
-      destination to its class, keeps the least raw key of each group of
-      equal edges, and sorts.  A union never changes an output, and the least
-      key of a merged group is the least of the groups' least keys, so this
-      equals a build from the members, which is left only for a class with no
-      list.  ``set_out`` drops the list of the written key's source class.
-    - the raw keys entering each class, built once from the base machine;
-      ``union`` merges the two lists, the smaller into the larger (Hopcroft &
-      Karp, "A linear algorithm for testing equivalence of finite automata",
-      1971).  It finds the classes to mark stale and answers
-      ``incoming_edges``.
+    - the sorted edge list of ``edges_from``.  Every class has one: a
+      state's starts as its run of the base machine's sorted transitions,
+      read in the pass that builds the other facts.  ``union`` joins the
+      lists of the two classes into the survivor's and marks it stale, along
+      with the list of every class with an edge into the dropped one.  A read
+      re-keys a stale list: it maps each destination to its class, keeps the
+      least raw key of each group of equal edges, and sorts.  A union never
+      changes an output, and the least key of a merged group is the least
+      of the groups' least keys, so this equals a build from the members.
+      An output write can split a group, whose other keys the list no
+      longer holds, so ``set_out`` rebuilds the written class's list from
+      its members and marks it stale.
+    - ``incoming``, the raw keys entering each class, built once from the
+      base machine; ``union`` merges the two lists, the smaller into the
+      larger (Hopcroft & Karp, "A linear algorithm for testing equivalence
+      of finite automata", 1971).  It finds the classes to mark stale and,
+      on a gain of acceptance, the classes with an edge into the survivor;
+      it answers ``incoming_edges`` and gives a push-back the raw keys it
+      rewrites.
     - the set of accepting classes, updated by ``union``.
     """
 
     __slots__ = (
-        "base", "uf", "overlay", "_raw_out", "_edges", "_stale", "_incoming", "_accepting")
+        "base", "uf", "overlay", "incoming", "_raw_out", "_edges", "_stale", "_accepting")
 
     def __init__(self, base: Transducer):
         self.base = base
         self.uf = UnionFind(base.states)
         self.overlay: dict[RawKey, str] = {}
+        self.incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
         self._raw_out: dict[RawKey, str] = {}
-        self._edges: dict[int, tuple] = {}
-        self._stale: dict[int, Iterable[tuple]] = {}
-        self._incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
-        for tr in base.transitions:
-            key = (tr.src, tr.symbol, tr.dst)
-            self._raw_out[key] = tr.out
-            self._incoming[tr.dst].append(key)
+        runs: dict[int, list[tuple]] = {q: [] for q in base.states}
+        for src, sym, dst, out in base.transitions:
+            key = (src, sym, dst)
+            self._raw_out[key] = out
+            self.incoming[dst].append(key)
+            runs[src].append((sym, dst, out, key))
+        self._edges: dict[int, Sequence[tuple]] = {q: tuple(run) for q, run in runs.items()}
+        self._stale: set[int] = set()
         self._accepting = set(base.accepting)
 
     def find(self, q: int) -> int:
         return self.uf.find(q)
 
     def union(self, a: int, b: int) -> set[int]:
-        """Merge the classes of ``a`` and ``b``; returns the classes whose edge
-        lists this changes (none if ``a`` and ``b`` were one class already)."""
+        """Merge the classes of ``a`` and ``b``.  Returns the classes whose
+        edge lists this changes and, if the survivor has just become
+        accepting, the classes with an edge into it (none if ``a`` and ``b``
+        were one class already)."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return set()
-        ea, eb = self._uncache(ra), self._uncache(rb)
-        joined = None
-        if ea is not None or eb is not None:
-            # the survivor's list is the two joined; a missing one is built
-            # from its own members, before the union adds the other's
-            joined = [*(self._member_edges(ra) if ea is None else ea),
-                      *(self._member_edges(rb) if eb is None else eb)]
         keep = self.uf.union(ra, rb)
         drop = rb if keep == ra else ra
-        into_keep, into_drop = self._incoming[keep], self._incoming.pop(drop)
-        touched = {keep, drop, *(self.find(src) for src, _, _ in into_drop)}
-        for cls in touched:
-            edges = self._edges.pop(cls, None)
-            if edges is not None:
-                self._stale[cls] = edges
-        if joined is not None:
-            self._stale[keep] = joined
+        find, edges = self.uf.find, self._edges
+        edges[keep] = [*edges[keep], *edges.pop(drop)]
+        into_keep, into_drop = self.incoming[keep], self.incoming.pop(drop)
+        touched = {keep, *(find(src) for src, _, _ in into_drop)}
+        self._stale.discard(drop)
+        self._stale |= touched
+        touched.add(drop)
+        if drop in self._accepting:
+            self._accepting.discard(drop)
+            if keep not in self._accepting:
+                self._accepting.add(keep)
+                touched.update(find(src) for src, _, _ in into_keep)
         if len(into_keep) < len(into_drop):
             into_keep, into_drop = into_drop, into_keep
         into_keep += into_drop
-        self._incoming[keep] = into_keep
-        if drop in self._accepting:
-            self._accepting.discard(drop)
-            self._accepting.add(keep)
+        self.incoming[keep] = into_keep
         return touched
-
-    def _uncache(self, cls: int) -> Optional[Iterable[tuple]]:
-        """Remove a class's edge list, fresh or stale, from the cache and
-        return it; None if it had none."""
-        edges = self._edges.pop(cls, None)
-        return self._stale.pop(cls, None) if edges is None else edges
 
     def out(self, key: RawKey) -> str:
         return self.overlay.get(key, self._raw_out[key])
@@ -186,7 +195,9 @@ class QuotientView:
     def set_out(self, key: RawKey, out: str) -> None:
         """Record a new output for one raw transition."""
         self.overlay[key] = out
-        self._uncache(self.find(key[0]))
+        cls = self.find(key[0])
+        self._edges[cls] = self._member_edges(cls)
+        self._stale.add(cls)
 
     def class_accepting(self, cls: int) -> bool:
         return cls in self._accepting
@@ -194,14 +205,12 @@ class QuotientView:
     def edges_from(self, cls: int) -> tuple[tuple[str, int, str, RawKey], ...]:
         """Distinct quotient edges (symbol, dst class, output, representative
         raw key) leaving a class, sorted."""
-        edges = self._edges.get(cls)
-        if edges is None:
-            entries = self._stale.pop(cls, None)
-            if entries is None:
-                entries = self._member_edges(cls)
+        edges = self._edges[cls]
+        if cls in self._stale:
+            self._stale.remove(cls)
             find = self.uf.find
             seen: dict[tuple[str, int, str], RawKey] = {}
-            for sym, dst, out, key in entries:
+            for sym, dst, out, key in edges:
                 edge = (sym, find(dst), out)
                 if edge not in seen or key < seen[edge]:
                     seen[edge] = key
@@ -220,16 +229,7 @@ class QuotientView:
 
     def incoming_edges(self, cls: int) -> set[tuple[int, str, str]]:
         """Distinct quotient edges (src class, symbol, output) entering a class."""
-        return {(self.find(key[0]), key[1], self.out(key)) for key in self._incoming[cls]}
-
-    def preimages(self, src_cls: int, sym: str, dst_cls: int, out: str) -> list[RawKey]:
-        keys = []
-        for q in self.uf.members[src_cls]:
-            for s, dst, _ in self.base.arcs_from(q, sym):
-                key = (q, s, dst)
-                if self.uf.find(dst) == dst_cls and self.out(key) == out:
-                    keys.append(key)
-        return keys
+        return {(self.find(key[0]), key[1], self.out(key)) for key in self.incoming[cls]}
 
     def initial_class(self) -> int:
         return self.uf.find(self.base.initial)
@@ -366,21 +366,13 @@ class PairSearchState:
         while self._advance():
             pass
 
-    def merge_update(self, keep: int, drop: int) -> None:
-        """Fold ``drop`` into ``keep`` and cut the search back to the first
-        expansion that the union changes; exploration is resumed lazily (call
-        ``explore`` or ``next_witness``)."""
-        view = self.view
-        keep, drop = sorted((view.find(keep), view.find(drop)))  # the lesser stays
-        gained = view.class_accepting(drop) and not view.class_accepting(keep)
+    def merge_update(self, a: int, b: int) -> None:
+        """Merge the classes of ``a`` and ``b`` and cut the search back to the
+        first expansion that reads a fact the union changed; exploration is
+        resumed lazily (call ``explore`` or ``next_witness``)."""
         first = self._first
-        # the first expansion that reads an edge list the union changed ...
-        touched = view.union(keep, drop)
+        touched = self.view.union(a, b)
         cut = min((first[c] for c in touched if c in first), default=len(self._keys))
-        # ... or that discovered a pair holding keep, if keep's acceptance
-        # changes the accept events emitted at discovery
-        if gained and first.get(keep, 0) > 0:
-            cut = min(cut, bisect_right(self._marks, first[keep], key=itemgetter(0)) - 1)
         self._cursor = 0  # a restart reads every event again
         if cut == 0:
             self._restart()
@@ -459,13 +451,7 @@ class PairSearchState:
         if event[0] == "accept":
             return self._thread(event[1])
         _, parent, sym, raw1, raw2 = event
-        view = self.view
-        c1, c2 = ((view.find(r[0]), view.out(r)) for r in (raw1, raw2))
-        # the edges share symbol and destination class by construction, but a
-        # push-back after their discovery can have fused them
-        if c1 == c2:
-            return None
-        ext = self._acceptance_extension(view.find(raw1[2]))
+        ext = self._acceptance_extension(self.view.find(raw1[2]))
         if ext is None:
             return None
         side_a, side_b = self._thread(parent, (sym, raw1, raw2))

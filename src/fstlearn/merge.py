@@ -42,21 +42,21 @@ class MergeSession:
 def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
     """Cut ``suffix`` off the edge's output and prepend it to every outgoing
     transition of the edge's target.  Refused when the target is accepting or
-    has more than one incoming transition."""
+    has more than one incoming quotient edge."""
     if suffix == "":
         return True
     view = session.view
     out = view.out(raw_key)
     if not out.endswith(suffix):
         raise InvariantError(f"push-back of {suffix!r} off output {out!r}")
-    src_cls = view.find(raw_key[0])
     dst_cls = view.find(raw_key[2])
-    sym = raw_key[1]
     if view.class_accepting(dst_cls):
         return False
     if len(view.incoming_edges(dst_cls)) != 1:
         return False
-    for key in view.preimages(src_cls, sym, dst_cls, out):
+    # that one quotient edge is raw_key's, so every raw key into the target
+    # stands for it
+    for key in view.incoming[dst_cls]:
         view.set_out(key, out[: -len(suffix)])
     for member in view.uf.members[dst_cls]:
         for s, dst, _ in view.base.arcs_from(member):
@@ -133,12 +133,9 @@ def run_session(session: MergeSession) -> bool:
     while True:
         while session.pending:
             x, y = session.pending.popleft()
-            cx, cy = view.find(x), view.find(y)
-            if cx == cy:
-                continue
-            keep, drop = (cx, cy) if cx < cy else (cy, cx)
-            session.forced += 1
-            session.search.merge_update(keep, drop)
+            if view.find(x) != view.find(y):
+                session.forced += 1
+                session.search.merge_update(x, y)
         witness = session.search.next_witness()
         if witness is None:
             return True

@@ -272,14 +272,20 @@ def _scanned_edges(view, cls):
     return tuple(sorted(edge + (key,) for edge, key in least.items()))
 
 
+def _quotient_edge(view, key):
+    return view.find(key[0]), key[1], view.find(key[2]), view.out(key)
+
+
 def test_cached_edges_match_a_scan_when_read_sparsely():
-    # Only a random subset of classes is read between steps, so unions meet
-    # classes with no list, with a fresh one and with a stale one, and a stale
-    # list can be joined again before it is re-keyed.  Every read and, at the
-    # end, every class must equal a scan of the base machine's transitions.
+    # Only a random subset of classes is read between steps, so a stale list
+    # can be joined again before it is re-keyed.  Besides unions and
+    # push-backs, a step writes any output to one raw key, which can split a
+    # group of equal edges that a union fused and whose other keys the list
+    # no longer holds.  Every read and, at the end, every class must equal a
+    # scan of the base machine's transitions.
     rng = random.Random(61)
     seen = Counter()
-    for _ in range(40):
+    for _ in range(60):
         t = random_machine(rng, max_states=7)
         for base in _machine_and_its_tree(t):
             states = sorted(base.states)
@@ -287,19 +293,25 @@ def test_cached_edges_match_a_scan_when_read_sparsely():
             view = session.view
             keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
             for _ in range(12):
-                if rng.random() < 0.5 and len(states) > 1:
+                step = rng.random()
+                if step < 0.5 and len(states) > 1:
                     a, b = rng.sample(states, 2)
                     ra, rb = view.find(a), view.find(b)
                     if ra != rb:
-                        cached = [r in view._edges or r in view._stale for r in (ra, rb)]
-                        seen[("none", "one", "both")[sum(cached)]] += 1
                         seen["stale joined"] += ra in view._stale or rb in view._stale
                     view.union(a, b)
-                else:
+                elif step < 0.8:
                     key = rng.choice(keys)
                     out = view.out(key)
                     if out:
                         seen["pushed"] += push_back(session, key, out[rng.randrange(len(out)):])
+                else:
+                    key = rng.choice(keys)
+                    out = rng.choice(["", "x", "y", "xy"])
+                    edge = _quotient_edge(view, key)
+                    seen["split"] += out != edge[3] and any(
+                        k != key and _quotient_edge(view, k) == edge for k in keys)
+                    view.set_out(key, out)
                 classes = view.uf.classes()
                 for cls in rng.sample(classes, rng.randrange(len(classes) // 2 + 1)):
                     seen["stale read"] += cls in view._stale
@@ -307,10 +319,10 @@ def test_cached_edges_match_a_scan_when_read_sparsely():
             for cls in view.uf.classes():
                 seen["stale read"] += cls in view._stale
                 assert view.edges_from(cls) == _scanned_edges(view, cls)
-    assert min(seen["none"], seen["one"], seen["both"]) >= 40
     assert seen["stale joined"] >= 40
     assert seen["stale read"] >= 200
     assert seen["pushed"] >= 20
+    assert seen["split"] >= 20
 
 
 def _fresh_search(base, unions, overlay):
