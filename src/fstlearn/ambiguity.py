@@ -13,10 +13,12 @@ transitions and its acceptance up to date.  Every class has an edge list from
 the moment the view opens.  A union joins the lists of the two classes into
 the surviving one's and marks it stale, along with the list of every class
 with an edge into the one folded away; a stale list is re-keyed to the current
-classes when it is next read.  An output write rebuilds the list of the
-written edge's source class from its members and marks it stale.  Unions and
-output writes go only through the view's ``union`` and ``set_out``, so no
-list outlives the facts it was built from.
+classes when it is next read.  A batch of output writes rebuilds the list of
+each written edge's source class from its members and marks it stale.  Unions
+and output writes go only through the view's ``union`` and ``set_outs``, so no
+list outlives the facts it was built from, and the view can undo them all
+(``QuotientView.rollback``), so one view serves a learner's every merge
+attempt.
 
 The search is breadth-first and runs on the fly (Allauzen & Mohri,
 "Efficient algorithms for testing the twins property", 2003): pairs are
@@ -80,20 +82,28 @@ RawKey = tuple  # (src, symbol, dst) of the underlying machine
 
 
 class UnionFind:
-    """Union-find over state ids; the representative is the least member."""
+    """Union-find over state ids; the representative is the least member.
 
-    __slots__ = ("parent", "members")
+    ``saved`` maps each node whose parent was written since it was last
+    cleared to its parent before the first of those writes, path compression
+    included, so that restoring it undoes them (set union with backtracking,
+    Westbrook & Tarjan, SIAM J. Comput. 18(1), 1989)."""
+
+    __slots__ = ("parent", "members", "saved")
 
     def __init__(self, universe: Iterable[int]):
         self.parent = {q: q for q in universe}
         self.members = {q: [q] for q in universe}
+        self.saved: dict[int, int] = {}
 
     def find(self, q: int) -> int:
+        parent = self.parent
         root = q
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[q] != root:
-            self.parent[q], q = root, self.parent[q]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[q] != root:
+            self.saved.setdefault(q, parent[q])
+            parent[q], q = root, parent[q]
         return root
 
     def union(self, a: int, b: int) -> int:
@@ -101,6 +111,7 @@ class UnionFind:
         if ra == rb:
             return ra
         keep, drop = (ra, rb) if ra < rb else (rb, ra)
+        self.saved.setdefault(drop, drop)
         self.parent[drop] = keep
         self.members[keep].extend(self.members.pop(drop))
         return keep
@@ -114,7 +125,7 @@ class QuotientView:
 
     The base transducer is never mutated; push-backs record new outputs in
     ``overlay`` keyed by raw (src, symbol, dst) triples.  Every change goes
-    through ``union`` or ``set_out``, which keep three per-class facts
+    through ``union`` or ``set_outs``, which keep three per-class facts
     current instead of recomputing them on each call:
 
     - the sorted edge list of ``edges_from``.  Every class has one: a
@@ -127,8 +138,8 @@ class QuotientView:
       changes an output, and the least key of a merged group is the least
       of the groups' least keys, so this equals a build from the members.
       An output write can split a group, whose other keys the list no
-      longer holds, so ``set_out`` rebuilds the written class's list from
-      its members and marks it stale.
+      longer holds, so ``set_outs`` rebuilds each written class's list from
+      its members, once per call, and marks it stale.
     - ``incoming``, the raw keys entering each class, built once from the
       base machine; ``union`` merges the two lists, the smaller into the
       larger (Hopcroft & Karp, "A linear algorithm for testing equivalence
@@ -137,16 +148,38 @@ class QuotientView:
       it answers ``incoming_edges`` and gives a push-back the raw keys it
       rewrites.
     - the set of accepting classes, updated by ``union``.
+
+    Rollback.  ``rollback`` returns the view to its state when it was built
+    or last called ``keep`` or ``rollback``; ``keep`` makes the changes since
+    then permanent.  For this the view saves, before the first change since
+    then to each class's facts, the class's edge list, its ``incoming`` and
+    ``uf.members`` lists with their lengths, and whether it accepts; the
+    union-find saves the first old parent of each node it writes, path
+    compression included, and ``set_outs`` the first old overlay entry of
+    each key.  Between two calls the two lists only grow in place, so a
+    saved length restores one.  A class whose list a union only marks stale
+    is saved too, with its stale mark: a re-key under the union can fuse two
+    of its entries.  A stale list of a class that no change touched can be
+    re-keyed before a rollback: it has no edge into a folded class, so it
+    reads as it would after.  The saved state grows with the classes
+    changed, not with the unions: a long cascade holds one old edge list per
+    class.
+
+    ``edge_count`` is the number of quotient edges when last counted: here
+    from the base machine, and by ``merge.commit`` after each merge it
+    keeps.  It sizes the witness cap of a merge attempt.
     """
 
     __slots__ = (
-        "base", "uf", "overlay", "incoming", "_raw_out", "_edges", "_stale", "_accepting")
+        "base", "uf", "overlay", "incoming", "edge_count",
+        "_raw_out", "_edges", "_stale", "_accepting", "_saved", "_saved_out")
 
     def __init__(self, base: Transducer):
         self.base = base
         self.uf = UnionFind(base.states)
         self.overlay: dict[RawKey, str] = {}
         self.incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
+        self.edge_count = len(base.transitions)
         self._raw_out: dict[RawKey, str] = {}
         runs: dict[int, list[tuple]] = {q: [] for q in base.states}
         for src, sym, dst, out in base.transitions:
@@ -157,9 +190,16 @@ class QuotientView:
         self._edges: dict[int, Sequence[tuple]] = {q: tuple(run) for q, run in runs.items()}
         self._stale: set[int] = set()
         self._accepting = set(base.accepting)
+        self._saved: dict[int, tuple] = {}
+        self._saved_out: dict[RawKey, Optional[str]] = {}
 
     def find(self, q: int) -> int:
         return self.uf.find(q)
+
+    def _save(self, cls: int) -> None:
+        into, members = self.incoming[cls], self.uf.members[cls]
+        self._saved[cls] = (self._edges[cls], cls in self._stale, into, len(into),
+                            members, len(members), cls in self._accepting)
 
     def union(self, a: int, b: int) -> set[int]:
         """Merge the classes of ``a`` and ``b``.  Returns the classes whose
@@ -169,12 +209,19 @@ class QuotientView:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return set()
+        saved = self._saved
+        for cls in (ra, rb):
+            if cls not in saved:
+                self._save(cls)
         keep = self.uf.union(ra, rb)
         drop = rb if keep == ra else ra
         find, edges = self.uf.find, self._edges
         edges[keep] = [*edges[keep], *edges.pop(drop)]
         into_keep, into_drop = self.incoming[keep], self.incoming.pop(drop)
         touched = {keep, *(find(src) for src, _, _ in into_drop)}
+        for cls in touched:
+            if cls not in saved:
+                self._save(cls)
         self._stale.discard(drop)
         self._stale |= touched
         touched.add(drop)
@@ -192,12 +239,47 @@ class QuotientView:
     def out(self, key: RawKey) -> str:
         return self.overlay.get(key, self._raw_out[key])
 
-    def set_out(self, key: RawKey, out: str) -> None:
-        """Record a new output for one raw transition."""
-        self.overlay[key] = out
-        cls = self.find(key[0])
-        self._edges[cls] = self._member_edges(cls)
-        self._stale.add(cls)
+    def set_outs(self, writes: dict[RawKey, str]) -> None:
+        """Record new outputs for raw transitions, then rebuild the edge list
+        of each written class once."""
+        overlay, saved_out = self.overlay, self._saved_out
+        written = set()
+        for key, out in writes.items():
+            saved_out.setdefault(key, overlay.get(key))
+            overlay[key] = out
+            written.add(self.find(key[0]))
+        for cls in written:
+            if cls not in self._saved:
+                self._save(cls)
+            self._edges[cls] = self._member_edges(cls)
+        self._stale |= written
+
+    def keep(self) -> None:
+        """Make every change since the last ``keep`` or ``rollback``
+        permanent."""
+        self._saved.clear()
+        self._saved_out.clear()
+        self.uf.saved.clear()
+
+    def rollback(self) -> None:
+        """Undo every change since the last ``keep`` or ``rollback``."""
+        self.uf.parent.update(self.uf.saved)
+        overlay = self.overlay
+        for key, out in self._saved_out.items():
+            if out is None:
+                del overlay[key]
+            else:
+                overlay[key] = out
+        members, stale, accepting = self.uf.members, self._stale, self._accepting
+        for cls, (edges, was_stale, into, n_into, mine, n_mine, accepts) in self._saved.items():
+            self._edges[cls] = edges
+            (stale.add if was_stale else stale.discard)(cls)
+            del into[n_into:]
+            self.incoming[cls] = into
+            del mine[n_mine:]
+            members[cls] = mine
+            (accepting.add if accepts else accepting.discard)(cls)
+        self.keep()
 
     def class_accepting(self, cls: int) -> bool:
         return cls in self._accepting
@@ -473,19 +555,23 @@ class PairSearchState:
 
 def square_reach(t: Transducer, aliases=()) -> PairSearchState:
     """Fully explored pair search over ``t`` after merging each (a, b) pair
-    of states in ``aliases``, in order."""
+    of states in ``aliases``, in order; its view keeps those unions
+    (``QuotientView.keep``)."""
     view = QuotientView(t)
     for a, b in aliases:
         view.union(a, b)
     st = PairSearchState(view)
     st.explore()
+    view.keep()
     return st
 
 
 def find_ambiguity(t: Transducer, st: PairSearchState) -> Optional[AmbiguousPathPair]:
     """First valid witness of ambiguity in discovery order, if any.
 
-    Explores ``st`` to the end first; the scan does not consume events.
+    Explores ``st`` to the end first; the scan does not consume events.  It
+    then keeps the view's changes (``QuotientView.keep``), which leaves no
+    undo state of its path compression behind.
     """
     view = st.view
 
@@ -494,8 +580,11 @@ def find_ambiguity(t: Transducer, st: PairSearchState) -> Optional[AmbiguousPath
         return Path(tuple(Transition(find(k[0]), k[1], find(k[2]), view.out(k)) for k in keys))
 
     st.explore()
+    found = None
     for event in st.events:
         witness = st._build_witness(event)
         if witness is not None:
-            return AmbiguousPathPair(*map(path, witness))
-    return None
+            found = AmbiguousPathPair(*map(path, witness))
+            break
+    view.keep()
+    return found

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from .ambiguity import QuotientView
 from .core import Transducer, renumber, trim
 from .errors import ConfigurationError, ConflictError
 from .merge import try_merge
@@ -63,32 +64,32 @@ def infer(
     The outer loop walks prefix-tree states in length-lexicographic order;
     for each, the inner loop retries every earlier surviving state until a
     merge commits.  A committed merge deletes the outer state (and any states
-    the cascade folded), so the outer loop only ever visits survivors.
-    ``trace``, if given, is called once per merge attempt (see ``try_merge``).
+    the cascade folded), so the outer loop only ever visits survivors.  The
+    hypothesis is one quotient view of the prefix tree: every attempt runs on
+    it, and it is materialized once, at the end.  ``trace``, if given, is
+    called once per merge attempt (see ``try_merge``).
     """
     cfg = cfg or LearnerConfig()
     sample_set, eps = split_epsilon(samples)
     tree, prefixes = build_prefix_tree(sample_set)
     order = state_order(prefixes)
-    hypothesis = tree
+    hypothesis = QuotientView(tree)
+    parent = hypothesis.uf.parent  # a state survives while it is its class's representative
     for _ in range(cfg.max_merge_passes):
         changed = False
         for outer in order:
-            if outer not in hypothesis.states or outer == hypothesis.initial:
+            if parent[outer] != outer or outer == tree.initial:
                 continue
             for inner in order:
                 if inner >= outer:
                     break
-                if inner not in hypothesis.states:
+                if parent[inner] != inner:
                     continue
-                merged = try_merge(hypothesis, inner, outer, trace=trace)
-                if merged is not None:
-                    hypothesis = merged
+                if try_merge(hypothesis, inner, outer, trace=trace) is not None:
                     changed = True
                     break
         if not changed:
             break
-    hypothesis = trim(hypothesis)
-    final_order = [q for q in order if q in hypothesis.states]
-    return LearnedModel(renumber(hypothesis, final_order), eps)
-
+    machine = trim(hypothesis.materialize())
+    final_order = [q for q in order if q in machine.states]
+    return LearnedModel(renumber(machine, final_order), eps)

@@ -1,9 +1,10 @@
 """Merge attempts: unify ambiguous path pairs via push-backs, cascade forced
 merges, and commit or roll back.
 
-A session works on a quotient view of the hypothesis (alias map plus output
-overlay), so failure simply discards the session; the hypothesis itself is
-never touched.
+The hypothesis is a quotient view of the prefix tree (alias map plus output
+overlay) that lasts the whole run.  An attempt unions classes and writes
+outputs on it directly; a rejection rolls the view back to where the attempt
+began (``QuotientView.rollback``), and a commit keeps what it changed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .ambiguity import PairSearchState, QuotientView, RawKey
-from .core import Transducer
 from .errors import InvariantError
 
 ROOT_ASYMMETRY = "root_asymmetry"
@@ -55,13 +55,13 @@ def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
     if len(view.incoming_edges(dst_cls)) != 1:
         return False
     # that one quotient edge is raw_key's, so every raw key into the target
-    # stands for it
-    for key in view.incoming[dst_cls]:
-        view.set_out(key, out[: -len(suffix)])
+    # stands for it; a self-loop on the target is cut, then prefixed
+    writes = dict.fromkeys(view.incoming[dst_cls], out[: -len(suffix)])
     for member in view.uf.members[dst_cls]:
         for s, dst, _ in view.base.arcs_from(member):
             key = (member, s, dst)
-            view.set_out(key, suffix + view.out(key))
+            writes[key] = suffix + writes.get(key, view.out(key))
+    view.set_outs(writes)
     session.push_backs += 1
     return True
 
@@ -117,8 +117,9 @@ def unify_paths(
     return True
 
 
-def open_session(h: Transducer, a: int, b: int) -> MergeSession:
-    view = QuotientView(h)
+def open_session(view: QuotientView, a: int, b: int) -> MergeSession:
+    """Start an attempt to identify states ``a`` and ``b`` on ``view``, whose
+    changes since its last ``keep`` or ``rollback`` the attempt will own."""
     session = MergeSession(view, PairSearchState(view), a)
     session.pending.append((a, b))
     return session
@@ -126,9 +127,12 @@ def open_session(h: Transducer, a: int, b: int) -> MergeSession:
 
 def run_session(session: MergeSession) -> bool:
     """Drive a session to its fixpoint.  True means the merge is consistent
-    and the session can be committed; False leaves ``session.failure`` set."""
+    and the session can be committed; False leaves ``session.failure`` set.
+
+    A session gives up after 200 + 20 × E witnesses, E being the quotient
+    edge count of the hypothesis it started from (``view.edge_count``)."""
     view = session.view
-    witness_cap = 200 + 20 * len(view.base.transitions)
+    witness_cap = 200 + 20 * view.edge_count
     seen = 0
     while True:
         while session.pending:
@@ -147,45 +151,56 @@ def run_session(session: MergeSession) -> bool:
             return False
 
 
-def commit(session: MergeSession) -> Transducer:
-    machine = session.view.materialize()
-    # the fixpoint guarantees one output per (src, symbol, dst)
-    seen = {}
-    for tr in machine.transitions:
-        key = (tr.src, tr.symbol, tr.dst)
-        if key in seen:
-            raise InvariantError(f"unresolved parallel edges at {key}")
-        seen[key] = tr.out
-    return machine
+def commit(session: MergeSession) -> None:
+    """Keep the session's changes to its view, after checking that every
+    class has one output per (symbol, dst class) and counting the quotient
+    edges into ``view.edge_count``."""
+    view = session.view
+    count = 0
+    for cls in view.uf.members:
+        edges = view.edges_from(cls)
+        # the fixpoint guarantees one output per (src, symbol, dst); the
+        # sorted list puts the edges of one (symbol, dst) side by side
+        for (sym, dst, _, _), (sym2, dst2, _, _) in zip(edges, edges[1:]):
+            if sym == sym2 and dst == dst2:
+                raise InvariantError(f"unresolved parallel edges at {(cls, sym, dst)}")
+        count += len(edges)
+    view.edge_count = count
+    view.keep()
 
 
 def try_merge(
-    h: Transducer,
+    view: QuotientView,
     a: int,
     b: int,
     trace: Optional[Callable[[dict], None]] = None,
-) -> Optional[Transducer]:
-    """Attempt to identify states ``a`` and ``b`` (a < b) of ``h``.
+) -> Optional[MergeSession]:
+    """Attempt to identify states ``a`` and ``b`` (a < b) of the hypothesis
+    ``view``.
 
-    Returns the merged hypothesis on success and None on failure; ``h`` is
-    never modified.  ``trace``, if given, is called once with a dict that
-    describes the attempt.
+    Returns the committed session on success, with ``view`` holding the
+    merged hypothesis, and None on failure, with ``view`` rolled back to the
+    hypothesis it held before.  ``trace``, if given, is called once with a
+    dict that describes the attempt; a commit's dict holds the hypothesis
+    before and after as machines, materialized for the callback alone.
     """
-    session = open_session(h, a, b)
+    before = view.materialize() if trace is not None else None
+    session = open_session(view, a, b)
     if not run_session(session):
+        view.rollback()
         if trace is not None:
             trace({"kind": "merge_rejected", "pair": (a, b), "reason": session.failure})
         return None
-    machine = commit(session)
+    commit(session)
     if trace is not None:
         trace(
             {
                 "kind": "merge_committed",
                 "pair": (a, b),
-                "before": h,
-                "after": machine,
+                "before": before,
+                "after": view.materialize(),
                 "push_backs": session.push_backs,
                 "forced": session.forced,
             }
         )
-    return machine
+    return session

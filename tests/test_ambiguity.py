@@ -234,7 +234,7 @@ def test_indexed_view_matches_a_fresh_view_under_unions_and_push_backs():
         t = random_machine(rng, max_states=6)
         for base in _machine_and_its_tree(t):
             states = sorted(base.states)
-            session = open_session(base, states[0], states[0])
+            session = open_session(QuotientView(base), states[0], states[0])
             view = session.view
             keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
             unions = []
@@ -251,8 +251,7 @@ def test_indexed_view_matches_a_fresh_view_under_unions_and_push_backs():
                 fresh = QuotientView(base)
                 for a, b in unions:
                     fresh.union(a, b)
-                for key, out in view.overlay.items():
-                    fresh.set_out(key, out)
+                fresh.set_outs(view.overlay)
                 for cls in view.uf.classes():
                     assert view.edges_from(cls) == fresh.edges_from(cls)
                     assert view.class_accepting(cls) == any(
@@ -289,7 +288,7 @@ def test_cached_edges_match_a_scan_when_read_sparsely():
         t = random_machine(rng, max_states=7)
         for base in _machine_and_its_tree(t):
             states = sorted(base.states)
-            session = open_session(base, states[0], states[0])
+            session = open_session(QuotientView(base), states[0], states[0])
             view = session.view
             keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
             for _ in range(12):
@@ -311,7 +310,7 @@ def test_cached_edges_match_a_scan_when_read_sparsely():
                     edge = _quotient_edge(view, key)
                     seen["split"] += out != edge[3] and any(
                         k != key and _quotient_edge(view, k) == edge for k in keys)
-                    view.set_out(key, out)
+                    view.set_outs({key: out})
                 classes = view.uf.classes()
                 for cls in rng.sample(classes, rng.randrange(len(classes) // 2 + 1)):
                     seen["stale read"] += cls in view._stale
@@ -325,12 +324,71 @@ def test_cached_edges_match_a_scan_when_read_sparsely():
     assert seen["split"] >= 20
 
 
+def _every_class(view):
+    classes = view.uf.classes()
+    return (
+        [view.edges_from(cls) for cls in classes],
+        [view.incoming_edges(cls) for cls in classes],
+        [view.class_accepting(cls) for cls in classes],
+        view.uf.members,
+        view.overlay,
+    )
+
+
+def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
+    # Unions, push-backs and output writes with a random subset of classes
+    # read between steps, so a change can meet a stale list; now and then
+    # the view keeps or rolls back.  After a rollback every class reads as in
+    # a view that made only the kept changes.
+    rng = random.Random(73)
+    seen = Counter()
+    for _ in range(80):
+        t = random_machine(rng, max_states=7)
+        for base in _machine_and_its_tree(t):
+            states = sorted(base.states)
+            session = open_session(QuotientView(base), states[0], states[0])
+            view = session.view
+            keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
+            kept, unions, overlay = [], [], {}
+            for _ in range(24):
+                step = rng.random()
+                if step < 0.4 and len(states) > 1:
+                    a, b = rng.sample(states, 2)
+                    view.union(a, b)
+                    unions.append((a, b))
+                elif step < 0.6:
+                    key = rng.choice(keys)
+                    out = view.out(key)
+                    if out:
+                        push_back(session, key, out[rng.randrange(len(out)):])
+                elif step < 0.75:
+                    view.set_outs({rng.choice(keys): rng.choice(["", "x", "y", "xy"])})
+                elif step < 0.85:
+                    view.keep()
+                    kept += unions
+                    unions, overlay = [], dict(view.overlay)
+                else:
+                    seen["stale saved"] += sum(state[1] for state in view._saved.values())
+                    seen["rollbacks"] += bool(unions)
+                    view.rollback()
+                    unions = []
+                    fresh = QuotientView(base)
+                    for a, b in kept:
+                        fresh.union(a, b)
+                    fresh.set_outs(overlay)
+                    assert _every_class(view) == _every_class(fresh)
+                classes = view.uf.classes()
+                for cls in rng.sample(classes, rng.randrange(len(classes) // 3 + 1)):
+                    view.edges_from(cls)
+    assert seen["rollbacks"] >= 250
+    assert seen["stale saved"] >= 50
+
+
 def _fresh_search(base, unions, overlay):
     view = QuotientView(base)
     for a, b in unions:
         view.union(a, b)
-    for key, out in overlay.items():
-        view.set_out(key, out)
+    view.set_outs(overlay)
     st = PairSearchState(view)
     st.explore()
     return st
@@ -353,7 +411,7 @@ def test_merge_update_keeps_an_exact_prefix_of_a_fresh_search():
         tree, _ = build_prefix_tree(SampleSet(samples.items()))
         for base in (t, tree):
             states = sorted(base.states)
-            session = open_session(base, states[0], states[0])
+            session = open_session(QuotientView(base), states[0], states[0])
             st, view = session.search, session.view
             keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
             unions = []
@@ -446,7 +504,7 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
         before = seen["witnesses"]
         for _ in range(4):
             a, b = sorted(rng.sample(states, 2)) if len(states) > 1 else (states[0],) * 2
-            run_session(open_session(t, a, b))
+            run_session(open_session(QuotientView(t), a, b))
         seen["on a cyclic base"] += seen["witnesses"] - before
         infer(_samples_of(t, 5))  # the learner's sessions on a prefix tree
     assert seen["witnesses"] >= 5000

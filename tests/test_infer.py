@@ -122,9 +122,9 @@ def test_echoed_trace_drops_each_event_unless_the_caller_keeps_it(
     sinks = []
     real_try_merge = infer_module.try_merge
 
-    def spy(h, a, b, trace=None):
+    def spy(view, a, b, trace=None):
         sinks.append(trace)
-        return real_try_merge(h, a, b, trace=trace)
+        return real_try_merge(view, a, b, trace=trace)
 
     monkeypatch.setattr(infer_module, "try_merge", spy)
     samples = [("a", "x"), ("aa", "xx"), ("aaa", "xxx"), ("b", "y")]
@@ -256,3 +256,28 @@ def test_nondet_reject_learns_without_rebuilding_edge_lists_from_members(monkeyp
     model = infer(informant)
     assert len(model.machine.states) == 4
     assert calls <= 100
+
+
+def test_infer_holds_one_hypothesis_view_and_materializes_it_once(monkeypatch):
+    # Every merge attempt runs on one view of the prefix tree: a rejected one
+    # rolls back, a committed one keeps its changes, and the learned machine
+    # is materialized once, at the end.
+    built = materialized = 0
+    init, materialize = ambiguity.QuotientView.__init__, ambiguity.QuotientView.materialize
+
+    def counted_init(self, base):
+        nonlocal built
+        built += 1
+        init(self, base)
+
+    def counted_materialize(self):
+        nonlocal materialized
+        materialized += 1
+        return materialize(self)
+
+    monkeypatch.setattr(ambiguity.QuotientView, "__init__", counted_init)
+    monkeypatch.setattr(ambiguity.QuotientView, "materialize", counted_materialize)
+    target = dict((name, t) for name, t, _ in BATTERY)["nondet_reject"]
+    model = infer(generate_informant(target, 6))
+    assert len(model.machine.states) == 4
+    assert (built, materialized) == (1, 1)

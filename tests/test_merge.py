@@ -1,13 +1,20 @@
 """Merge sessions: unification, push-backs, rollback, commitment."""
 
+import importlib
+import random
+from collections import Counter
+
 import pytest
 
+from fstlearn.ambiguity import PairSearchState, QuotientView, find_ambiguity, square_reach
 from fstlearn.core import Transducer, transduce, trim
-from fstlearn.errors import InvariantError
+from fstlearn.errors import InvariantError, ToolkitError
+from fstlearn.infer import infer, split_epsilon, state_order
 from fstlearn.merge import (
     OUTPUT_CONFLICT,
     PUSHBACK_BLOCKED,
     ROOT_ASYMMETRY,
+    SESSION_CAP,
     open_session,
     push_back,
     run_session,
@@ -17,21 +24,30 @@ from fstlearn.merge import (
 from fstlearn.oracle import generate_informant, words_up_to
 from fstlearn.ptree import SampleSet, build_prefix_tree
 
-from machines import BATTERY
+from machines import BATTERY, random_machine, random_mostly_deterministic
+
+merge_module = importlib.import_module("fstlearn.merge")
 
 
 def tree_of(pairs):
     return build_prefix_tree(SampleSet(pairs))
 
 
+def merged_machine(h, a, b, trace=None):
+    """The hypothesis after merging ``a`` and ``b`` on a view of ``h``, or
+    None when the merge is rejected."""
+    view = QuotientView(h)
+    return None if try_merge(view, a, b, trace=trace) is None else view.materialize()
+
+
 def test_merge_conflicting_outputs_fails():
     tree, _ = tree_of([("a", "x"), ("aa", "y")])
-    assert try_merge(tree, 0, 1) is None
+    assert merged_machine(tree, 0, 1) is None
 
 
 def test_merge_loop_succeeds():
     tree, _ = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx")])
-    merged = try_merge(tree, 0, 1)
+    merged = merged_machine(tree, 0, 1)
     assert merged is not None
     assert len(merged.states) == 1
     assert merged.accepting == {0}
@@ -43,7 +59,7 @@ def test_merge_of_compatible_disjoint_states():
     # two leaves with empty residual conflicts merge without push-backs
     tree, _ = tree_of([("a", "x"), ("b", "y")])
     trace = []
-    merged = try_merge(tree, 1, 2, trace=trace.append)
+    merged = merged_machine(tree, 1, 2, trace=trace.append)
     assert merged is not None
     assert len(trace) == 1
     assert trace[-1]["kind"] == "merge_committed"
@@ -55,8 +71,10 @@ def test_merge_of_compatible_disjoint_states():
 def test_failed_merge_leaves_hypothesis_untouched():
     tree, _ = tree_of([("a", "x"), ("aa", "y")])
     snapshot = (tree.states, tree.transitions, tree.accepting)
-    assert try_merge(tree, 0, 1) is None
+    view = QuotientView(tree)
+    assert try_merge(view, 0, 1) is None
     assert (tree.states, tree.transitions, tree.accepting) == snapshot
+    assert view.materialize() == tree
 
 
 def test_committed_merges_preserve_accepted_inputs():
@@ -65,6 +83,7 @@ def test_committed_merges_preserve_accepted_inputs():
         tree, _ = build_prefix_tree(SampleSet(informant))
         max_len = max(len(i) for i, _ in informant)
         order = sorted(tree.states)
+        view = QuotientView(tree)
         h = tree
         committed = 0
         for outer in order:
@@ -75,8 +94,8 @@ def test_committed_merges_preserve_accepted_inputs():
                     break
                 if inner not in h.states:
                     continue
-                merged = try_merge(h, inner, outer)
-                if merged is not None:
+                if try_merge(view, inner, outer) is not None:
+                    merged = view.materialize()
                     for word in words_up_to(h.input_alphabet, max_len + 2):
                         before = transduce(h, word)
                         if before:
@@ -89,7 +108,7 @@ def test_committed_merges_preserve_accepted_inputs():
 
 def test_committed_merge_strictly_shrinks_state_count():
     tree, _ = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx")])
-    merged = try_merge(tree, 0, 1)
+    merged = merged_machine(tree, 0, 1)
     assert merged is not None
     assert len(merged.states) < len(tree.states)
 
@@ -98,7 +117,7 @@ def test_committed_merge_strictly_shrinks_state_count():
 
 
 def _session_for(machine, a, b):
-    session = open_session(machine, a, b)
+    session = open_session(QuotientView(machine), a, b)
     # apply the root union the way run_session would
     x, y = session.pending.popleft()
     session.search.merge_update(min(x, y), max(x, y))
@@ -186,7 +205,7 @@ def test_pushback_simple():
     t = Transducer(
         [0, 1, 2], "ab", "xyz", 0, [2], [(0, "a", 1, "xy"), (1, "b", 2, "z")]
     )
-    session = open_session(t, 0, 0)
+    session = open_session(QuotientView(t), 0, 0)
     session.pending.clear()
     assert push_back(session, (0, "a", 1), "y")
     assert session.view.out((0, "a", 1)) == "x"
@@ -196,7 +215,7 @@ def test_pushback_simple():
 
 def test_pushback_empty_suffix_is_noop():
     t = Transducer([0, 1], "a", "x", 0, [1], [(0, "a", 1, "x")])
-    session = open_session(t, 0, 0)
+    session = open_session(QuotientView(t), 0, 0)
     session.pending.clear()
     assert push_back(session, (0, "a", 1), "")
     assert session.view.out((0, "a", 1)) == "x"
@@ -205,7 +224,7 @@ def test_pushback_empty_suffix_is_noop():
 
 def test_pushback_blocked_on_accepting_target():
     t = Transducer([0, 1], "a", "xy", 0, [1], [(0, "a", 1, "xy")])
-    session = open_session(t, 0, 0)
+    session = open_session(QuotientView(t), 0, 0)
     session.pending.clear()
     assert not push_back(session, (0, "a", 1), "y")
     assert session.view.out((0, "a", 1)) == "xy"
@@ -220,7 +239,163 @@ def test_pushback_blocked_on_multiple_incoming():
         [2],
         [(0, "a", 1, "xy"), (0, "b", 1, "z"), (1, "a", 2, "z")],
     )
-    session = open_session(t, 0, 0)
+    session = open_session(QuotientView(t), 0, 0)
     session.pending.clear()
     assert not push_back(session, (0, "a", 1), "y")
 
+
+
+# -- one view across attempts --------------------------------------------------
+
+
+def _partial_informants(seed, per_kind):
+    """80 % and 60 % subsets of the informants of seeded nondeterministic
+    targets, drawn as in the pinned digest of ``test_infer``: their learns run
+    push-backs and reject merges after them."""
+    rng = random.Random(seed)
+    for make in (random_mostly_deterministic, random_machine):
+        drawn = 0
+        while drawn < per_kind:
+            try:
+                informant = generate_informant(make(rng), rng.randint(3, 5))
+            except ToolkitError:
+                continue
+            for keep in (0.8, 0.6):
+                subset = [p for p in informant if rng.random() < keep]
+                if subset:
+                    yield subset
+            drawn += 1
+
+
+def _undo_state(view):
+    return view._saved, view._saved_out, view.uf.saved
+
+
+def _facts(view):
+    classes = view.uf.classes()
+    return (
+        view.materialize(),
+        [view.edges_from(cls) for cls in classes],
+        [set(view.incoming[cls]) for cls in classes],
+        [cls for cls in classes if view.class_accepting(cls)],
+        view.uf.members,
+        view.overlay,
+    )
+
+
+def test_a_rejected_attempt_leaves_the_view_as_a_view_that_never_made_it(monkeypatch):
+    # The learner's loop on one view, next to a view that makes only the
+    # attempts that commit: after every rejection the two hold the same facts.
+    # Every attempt, and square_reach and find_ambiguity, which only read,
+    # leave no undo state behind.
+    sessions = []
+    real_run_session = merge_module.run_session
+
+    def spy(session):
+        sessions.append(session)
+        return real_run_session(session)
+
+    monkeypatch.setattr(merge_module, "run_session", spy)
+    seen = Counter()
+    for samples in _partial_informants(seed=29, per_kind=40):
+        tree, prefixes = build_prefix_tree(split_epsilon(samples)[0])
+        order = state_order(prefixes)
+        view, reference = QuotientView(tree), QuotientView(tree)
+        parent = view.uf.parent
+        for outer in order:
+            if parent[outer] != outer or outer == tree.initial:
+                continue
+            for inner in order:
+                if inner >= outer:
+                    break
+                if parent[inner] != inner:
+                    continue
+                merged = try_merge(view, inner, outer) is not None
+                assert _undo_state(view) == ({}, {}, {})
+                if merged:
+                    assert try_merge(reference, inner, outer) is not None
+                    seen["committed"] += 1
+                    break
+                session = sessions[-1]
+                seen["rejected"] += 1
+                seen["after a cascade"] += session.forced > 1
+                seen["after a push-back"] += session.push_backs > 0
+                assert _facts(view) == _facts(reference)
+        states = sorted(tree.states)
+        # (n-2, n-1), (n-3, n-2), ...: each union hangs a chain under a new root
+        chain = list(zip(states[-2:0:-1], states[-1:1:-1]))
+        assert _undo_state(square_reach(tree, chain).view) == ({}, {}, {})
+        view = QuotientView(tree)
+        for a, b in chain:
+            view.union(a, b)
+        view.keep()
+        find_ambiguity(tree, PairSearchState(view))  # explores, compressing the chain
+        assert _undo_state(view) == ({}, {}, {})
+    assert seen["committed"] >= 400
+    assert seen["rejected"] >= 1000
+    assert seen["after a cascade"] >= 150
+    assert seen["after a push-back"] >= 100
+
+
+def test_a_push_back_rebuilds_each_written_class_list_once(monkeypatch):
+    # A push-back writes the edges into its target and every edge leaving it,
+    # then rebuilds the edge list of each class it wrote from its members
+    # once, however many of the class's edges it wrote.
+    rebuilds = 0
+    member_edges = QuotientView._member_edges
+
+    def counted(self, cls):
+        nonlocal rebuilds
+        rebuilds += 1
+        return member_edges(self, cls)
+
+    real_push_back = merge_module.push_back
+    seen = Counter()
+
+    def checked(session, raw_key, suffix):
+        nonlocal rebuilds
+        view = session.view
+        target = view.find(raw_key[2])
+        written = {view.find(key[0]) for key in view.incoming[target]}
+        leaving = sum(len(view.base.arcs_from(q)) for q in view.uf.members[target])
+        if leaving:
+            written.add(target)
+        rebuilds = 0
+        applied = real_push_back(session, raw_key, suffix)
+        if applied and suffix:
+            assert rebuilds == len(written)
+            seen["push-backs"] += 1
+            seen["more writes than classes"] += (
+                len(view.incoming[target]) + leaving > len(written))
+        return applied
+
+    monkeypatch.setattr(QuotientView, "_member_edges", counted)
+    monkeypatch.setattr(merge_module, "push_back", checked)
+    for samples in _partial_informants(seed=31, per_kind=40):
+        infer(samples)
+    assert seen["push-backs"] >= 200
+    assert seen["more writes than classes"] >= 100
+
+
+def test_a_session_gives_up_after_the_witness_cap_of_its_hypothesis(monkeypatch):
+    # The cap counts the quotient edges of the hypothesis the attempt starts
+    # from, which an earlier commit made smaller than the prefix tree.
+    tree, _ = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx"), ("b", "y"), ("ba", "yx")])
+    view = QuotientView(tree)
+    assert try_merge(view, 0, 1) is not None
+    edges = len(view.materialize().transitions)
+    assert edges < len(tree.transitions)
+    assert view.edge_count == edges
+    witnesses = 0
+
+    def one_witness(self):
+        nonlocal witnesses
+        witnesses += 1
+        return [(0, "b", 4)], [(0, "b", 4)]
+
+    monkeypatch.setattr(PairSearchState, "next_witness", one_witness)
+    monkeypatch.setattr(merge_module, "unify_paths", lambda session, raw_a, raw_b: True)
+    session = open_session(view, 0, 4)
+    assert not run_session(session)
+    assert session.failure == SESSION_CAP
+    assert witnesses == 201 + 20 * edges
