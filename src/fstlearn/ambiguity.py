@@ -163,23 +163,19 @@ class QuotientView:
     re-keyed before a rollback: it has no edge into a folded class, so it
     reads as it would after.  The saved state grows with the classes
     changed, not with the unions: a long cascade holds one old edge list per
-    class.
-
-    ``edge_count`` is the number of quotient edges when last counted: here
-    from the base machine, and by ``merge.commit`` after each merge it
-    keeps.  It sizes the witness cap of a merge attempt.
+    class, and ``changed`` names the surviving ones.
     """
 
     __slots__ = (
-        "base", "uf", "overlay", "incoming", "edge_count",
+        "base", "uf", "find", "overlay", "incoming",
         "_raw_out", "_edges", "_stale", "_accepting", "_saved", "_saved_out")
 
     def __init__(self, base: Transducer):
         self.base = base
         self.uf = UnionFind(base.states)
+        self.find = self.uf.find
         self.overlay: dict[RawKey, str] = {}
         self.incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
-        self.edge_count = len(base.transitions)
         self._raw_out: dict[RawKey, str] = {}
         runs: dict[int, list[tuple]] = {q: [] for q in base.states}
         for src, sym, dst, out in base.transitions:
@@ -192,9 +188,6 @@ class QuotientView:
         self._accepting = set(base.accepting)
         self._saved: dict[int, tuple] = {}
         self._saved_out: dict[RawKey, Optional[str]] = {}
-
-    def find(self, q: int) -> int:
-        return self.uf.find(q)
 
     def _save(self, cls: int) -> None:
         into, members = self.incoming[cls], self.uf.members[cls]
@@ -215,7 +208,7 @@ class QuotientView:
                 self._save(cls)
         keep = self.uf.union(ra, rb)
         drop = rb if keep == ra else ra
-        find, edges = self.uf.find, self._edges
+        find, edges = self.find, self._edges
         edges[keep] = [*edges[keep], *edges.pop(drop)]
         into_keep, into_drop = self.incoming[keep], self.incoming.pop(drop)
         touched = {keep, *(find(src) for src, _, _ in into_drop)}
@@ -254,6 +247,10 @@ class QuotientView:
             self._edges[cls] = self._member_edges(cls)
         self._stale |= written
 
+    def changed(self) -> list[int]:
+        """The surviving classes changed since the last ``keep`` or ``rollback``."""
+        return [cls for cls in self._saved if cls in self.uf.members]
+
     def keep(self) -> None:
         """Make every change since the last ``keep`` or ``rollback``
         permanent."""
@@ -290,7 +287,7 @@ class QuotientView:
         edges = self._edges[cls]
         if cls in self._stale:
             self._stale.remove(cls)
-            find = self.uf.find
+            find = self.find
             seen: dict[tuple[str, int, str], RawKey] = {}
             for sym, dst, out, key in edges:
                 edge = (sym, find(dst), out)
@@ -314,7 +311,7 @@ class QuotientView:
         return {(self.find(key[0]), key[1], self.out(key)) for key in self.incoming[cls]}
 
     def initial_class(self) -> int:
-        return self.uf.find(self.base.initial)
+        return self.find(self.base.initial)
 
     def materialize(self) -> Transducer:
         """Collapse aliases and overlay into a fresh transducer."""

@@ -66,8 +66,9 @@ def infer(
     merge commits.  A committed merge deletes the outer state (and any states
     the cascade folded), so the outer loop only ever visits survivors.  The
     hypothesis is one quotient view of the prefix tree: every attempt runs on
-    it, and it is materialized once, at the end.  ``trace``, if given, is
-    called once per merge attempt (see ``try_merge``).
+    it and reads only what it changes, and it is materialized once, at the
+    end.  An attempt gives up after 200 + 20 × (prefix-tree edges) witnesses.
+    ``trace``, if given, gets one dict per attempt (see ``try_merge``).
     """
     cfg = cfg or LearnerConfig()
     sample_set, eps = split_epsilon(samples)

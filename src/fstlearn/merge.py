@@ -4,7 +4,10 @@ merges, and commit or roll back.
 The hypothesis is a quotient view of the prefix tree (alias map plus output
 overlay) that lasts the whole run.  An attempt unions classes and writes
 outputs on it directly; a rejection rolls the view back to where the attempt
-began (``QuotientView.rollback``), and a commit keeps what it changed.
+began (``QuotientView.rollback``), and a commit checks and keeps what it
+changed; no step reads the whole hypothesis.  An attempt gives up after
+200 + 20 × E witnesses, E being the number of prefix-tree edges, at most the
+total input length of the samples.
 """
 
 from __future__ import annotations
@@ -129,10 +132,10 @@ def run_session(session: MergeSession) -> bool:
     """Drive a session to its fixpoint.  True means the merge is consistent
     and the session can be committed; False leaves ``session.failure`` set.
 
-    A session gives up after 200 + 20 × E witnesses, E being the quotient
-    edge count of the hypothesis it started from (``view.edge_count``)."""
+    A session gives up after 200 + 20 × E witnesses, E being the number of
+    edges of the view's base machine, the prefix tree in learning."""
     view = session.view
-    witness_cap = 200 + 20 * view.edge_count
+    witness_cap = 200 + 20 * len(view.base.transitions)
     seen = 0
     while True:
         while session.pending:
@@ -153,20 +156,18 @@ def run_session(session: MergeSession) -> bool:
 
 def commit(session: MergeSession) -> None:
     """Keep the session's changes to its view, after checking that every
-    class has one output per (symbol, dst class) and counting the quotient
-    edges into ``view.edge_count``."""
+    class they changed has one output per (symbol, dst class).  Any other
+    class keeps the edge list the previous commit checked, or its base
+    machine's: a prefix tree has no parallel edges."""
     view = session.view
-    count = 0
-    for cls in view.uf.members:
+    for cls in view.changed():
         edges = view.edges_from(cls)
         # the fixpoint guarantees one output per (src, symbol, dst); the
         # sorted list puts the edges of one (symbol, dst) side by side
         for (sym, dst, _, _), (sym2, dst2, _, _) in zip(edges, edges[1:]):
             if sym == sym2 and dst == dst2:
                 raise InvariantError(f"unresolved parallel edges at {(cls, sym, dst)}")
-        count += len(edges)
-    view.edge_count = count
-    view.keep()
+    view.keep()  # after the reads, so their path compression leaves no undo entries
 
 
 def try_merge(
@@ -181,10 +182,10 @@ def try_merge(
     Returns the committed session on success, with ``view`` holding the
     merged hypothesis, and None on failure, with ``view`` rolled back to the
     hypothesis it held before.  ``trace``, if given, is called once with a
-    dict that describes the attempt; a commit's dict holds the hypothesis
-    before and after as machines, materialized for the callback alone.
+    dict that describes the attempt: ``kind`` (``"merge_committed"`` or
+    ``"merge_rejected"``), ``pair`` (a, b), and either ``reason``, the
+    rejection's, or ``push_backs`` and ``forced``, the commit's counts.
     """
-    before = view.materialize() if trace is not None else None
     session = open_session(view, a, b)
     if not run_session(session):
         view.rollback()
@@ -197,8 +198,6 @@ def try_merge(
             {
                 "kind": "merge_committed",
                 "pair": (a, b),
-                "before": before,
-                "after": view.materialize(),
                 "push_backs": session.push_backs,
                 "forced": session.forced,
             }

@@ -28,6 +28,7 @@ from machines import (
     random_machine,
     random_mostly_deterministic,
 )
+from test_infer import commit_snapshots
 from test_ptree import assert_ab_property
 
 
@@ -153,19 +154,17 @@ def test_criterion_5_incremental_squaring():
     )
 
 
-def test_criterion_6_pushback_soundness():
+def test_criterion_6_pushback_soundness(monkeypatch):
     violations = 0
     sessions = 0
+    commits = commit_snapshots(monkeypatch)
     for name, target, m in BATTERY:
         informant = generate_informant(trim(target), 2 * m)
         max_len = max(len(i) for i, _ in informant)
-        trace = []
-        infer(informant, trace=trace.append)
-        for entry in trace:
-            if entry["kind"] != "merge_committed":
-                continue
+        commits.clear()
+        infer(informant)
+        for before, after in commits:
             sessions += 1
-            before, after = entry["before"], entry["after"]
             for word in words_up_to(before.input_alphabet, max_len + 2):
                 outs = transduce(before, word)
                 if outs and transduce(after, word) != outs:

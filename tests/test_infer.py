@@ -95,18 +95,35 @@ def test_infer_epsilon_output_side_channel():
     assert transduce(model.machine, "") == {""}
 
 
-def test_infer_monotone_state_count():
+def commit_snapshots(monkeypatch):
+    """A list that receives (before, after) machines for every merge that
+    ``infer`` commits: a wrapper around ``fstlearn.infer.try_merge``
+    materializes the view around each attempt, for the test alone."""
+    infer_module = importlib.import_module("fstlearn.infer")  # not the function
+    real_try_merge = infer_module.try_merge
+    snapshots = []
+
+    def snapshot(view, a, b, trace=None):
+        before = view.materialize()
+        session = real_try_merge(view, a, b, trace=trace)
+        if session is not None:
+            snapshots.append((before, view.materialize()))
+        return session
+
+    monkeypatch.setattr(infer_module, "try_merge", snapshot)
+    return snapshots
+
+
+def test_infer_monotone_state_count(monkeypatch):
+    commits = commit_snapshots(monkeypatch)
     trace = []
     infer(
         [("a", "x"), ("aa", "xx"), ("aaa", "xxx")],
         LearnerConfig(),
         trace=trace.append,
     )
-    sizes = [
-        (len(e["before"].states), len(e["after"].states))
-        for e in trace
-        if e["kind"] == "merge_committed"
-    ]
+    sizes = [(len(before.states), len(after.states)) for before, after in commits]
+    assert len(sizes) == sum(e["kind"] == "merge_committed" for e in trace)
     assert sizes
     for before, after in sizes:
         assert after < before
@@ -116,8 +133,8 @@ def test_echoed_trace_drops_each_event_unless_the_caller_keeps_it(
     monkeypatch, capsys
 ):
     """The learner holds no trace events of its own: the CLI echo prints each
-    event and keeps none, so the commits' before/after machines do not pile
-    up; a callback that appends to a list keeps every event."""
+    event and keeps none; a callback that appends to a list keeps every
+    event."""
     infer_module = importlib.import_module("fstlearn.infer")  # not the function
     sinks = []
     real_try_merge = infer_module.try_merge
@@ -261,7 +278,8 @@ def test_nondet_reject_learns_without_rebuilding_edge_lists_from_members(monkeyp
 def test_infer_holds_one_hypothesis_view_and_materializes_it_once(monkeypatch):
     # Every merge attempt runs on one view of the prefix tree: a rejected one
     # rolls back, a committed one keeps its changes, and the learned machine
-    # is materialized once, at the end.
+    # is materialized once, at the end, whether or not a trace callback
+    # watches the attempts.
     built = materialized = 0
     init, materialize = ambiguity.QuotientView.__init__, ambiguity.QuotientView.materialize
 
@@ -278,6 +296,11 @@ def test_infer_holds_one_hypothesis_view_and_materializes_it_once(monkeypatch):
     monkeypatch.setattr(ambiguity.QuotientView, "__init__", counted_init)
     monkeypatch.setattr(ambiguity.QuotientView, "materialize", counted_materialize)
     target = dict((name, t) for name, t, _ in BATTERY)["nondet_reject"]
-    model = infer(generate_informant(target, 6))
-    assert len(model.machine.states) == 4
-    assert (built, materialized) == (1, 1)
+    informant = generate_informant(target, 6)
+    kept = []
+    for trace in (None, _echo_attempt, kept.append):
+        built = materialized = 0
+        model = infer(informant, trace=trace)
+        assert len(model.machine.states) == 4
+        assert (built, materialized) == (1, 1)
+    assert kept

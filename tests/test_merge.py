@@ -15,6 +15,7 @@ from fstlearn.merge import (
     PUSHBACK_BLOCKED,
     ROOT_ASYMMETRY,
     SESSION_CAP,
+    commit,
     open_session,
     push_back,
     run_session,
@@ -378,14 +379,14 @@ def test_a_push_back_rebuilds_each_written_class_list_once(monkeypatch):
 
 
 def test_a_session_gives_up_after_the_witness_cap_of_its_hypothesis(monkeypatch):
-    # The cap counts the quotient edges of the hypothesis the attempt starts
-    # from, which an earlier commit made smaller than the prefix tree.
+    # The cap counts the edges of the prefix tree, which bounds every
+    # hypothesis: an earlier commit that made the hypothesis smaller than the
+    # tree leaves it as it was.
     tree, _ = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx"), ("b", "y"), ("ba", "yx")])
     view = QuotientView(tree)
     assert try_merge(view, 0, 1) is not None
     edges = len(view.materialize().transitions)
     assert edges < len(tree.transitions)
-    assert view.edge_count == edges
     witnesses = 0
 
     def one_witness(self):
@@ -398,4 +399,71 @@ def test_a_session_gives_up_after_the_witness_cap_of_its_hypothesis(monkeypatch)
     session = open_session(view, 0, 4)
     assert not run_session(session)
     assert session.failure == SESSION_CAP
-    assert witnesses == 201 + 20 * edges
+    assert witnesses == 201 + 20 * len(tree.transitions)
+
+
+def _parallel_edges(edges):
+    return [(sym, dst) for (sym, dst, _, _), (sym2, dst2, _, _) in zip(edges, edges[1:])
+            if (sym, dst) == (sym2, dst2)]
+
+
+def test_a_commit_refuses_parallel_edges_that_a_union_made():
+    # Two a-edges of class 0 with different outputs become parallel when a
+    # union joins their destinations; the union changed class 0's edge list,
+    # so the commit reads it.
+    machine = Transducer([0, 1, 2], "a", "xy", 0, [1, 2], [(0, "a", 1, "x"), (0, "a", 2, "y")])
+    view = QuotientView(machine)
+    session = open_session(view, 1, 2)
+    view.union(1, 2)
+    assert _parallel_edges(view.edges_from(0)) == [("a", 1)]
+    with pytest.raises(InvariantError, match="unresolved parallel edges"):
+        commit(session)
+
+
+def test_a_commit_reads_every_class_whose_edge_list_the_attempt_changed(monkeypatch):
+    # A commit reads only the classes the attempt changed.  Every class whose
+    # edge list differs from the one it had before the attempt is among them,
+    # and a scan of every class, the reference for this narrowed check, finds
+    # no parallel edge after it.
+    real_open, real_commit = merge_module.open_session, merge_module.commit
+    real_edges_from = QuotientView.edges_from
+    before = {}
+    read = None  # the classes the running commit reads, while it runs
+    seen = Counter()
+
+    def edge_lists(view):
+        return {cls: view.edges_from(cls) for cls in view.uf.classes()}
+
+    def opened(view, a, b):
+        before.clear()
+        before.update(edge_lists(view))
+        return real_open(view, a, b)
+
+    def recorded(self, cls):
+        if read is not None:
+            read.add(cls)
+        return real_edges_from(self, cls)
+
+    def checked(session):
+        nonlocal read
+        read = set()
+        real_commit(session)
+        checked_classes, read = read, None
+        after = edge_lists(session.view)
+        changed = {cls for cls, edges in after.items() if before.get(cls) != edges}
+        assert changed <= checked_classes
+        assert not any(_parallel_edges(edges) for edges in after.values())
+        seen["commits"] += 1
+        seen["more than the survivor changed"] += len(changed) > 1
+        seen["after a push-back"] += session.push_backs > 0
+        seen["fewer classes read than a full scan"] += len(checked_classes) < len(after)
+
+    monkeypatch.setattr(merge_module, "open_session", opened)
+    monkeypatch.setattr(merge_module, "commit", checked)
+    monkeypatch.setattr(QuotientView, "edges_from", recorded)
+    for samples in _partial_informants(seed=37, per_kind=20):
+        infer(samples)
+    assert seen["commits"] >= 200
+    assert seen["more than the survivor changed"] >= 50
+    assert seen["after a push-back"] >= 20
+    assert seen["fewer classes read than a full scan"] >= 150
