@@ -1,8 +1,11 @@
 """Totalization, complement, disambiguation, union."""
 
+import hashlib
 import random
 
 import pytest
+
+from fstlearn.cli import serialize_machine
 
 from fstlearn.core import Transducer, transduce, trim
 from fstlearn.errors import ConfigurationError
@@ -20,7 +23,13 @@ from fstlearn.transform import (
     union,
 )
 
-from machines import random_machine, random_mostly_deterministic
+from machines import (
+    BATTERY,
+    NONDET_EXAMPLE,
+    PARITY_HASH,
+    random_machine,
+    random_mostly_deterministic,
+)
 
 
 def language(t: Transducer, max_len: int) -> set:
@@ -227,6 +236,27 @@ def test_union_epsilon_membership():
     no_eps = Transducer([0, 1], "a", "x", 0, [1], [(0, "a", 1, "x")])
     assert transduce(union(eps, no_eps), "") == {""}
     assert transduce(union(no_eps, no_eps), "") == frozenset()
+
+
+def test_transform_outputs_are_pinned():
+    # The benchmark's digest covers only total split machines; this one hashes
+    # every construction on partial and non-functional machines too, so a
+    # rewrite of the constructions that changes one byte shows here.
+    rng = random.Random(13)
+    machines = [t for _, t, _ in BATTERY] + [NONDET_EXAMPLE, PARITY_HASH]
+    machines += [random_machine(rng) for _ in range(150)]
+    machines += [random_mostly_deterministic(rng) for _ in range(150)]
+    digest = hashlib.sha256()
+    built = 0
+    for t in machines:
+        reject = "%" if "#" in t.output_alphabet else "#"
+        for out in (disambiguate(t), totalize(t, reject), complement_dfa(t)):
+            digest.update(serialize_machine(out).encode())
+            built += 1
+    assert built == 924
+    assert digest.hexdigest() == (
+        "f4f2667b88727129851730840f8fcbe2c306b51ebc6bc6a4eb0bc62e074dc982"
+    )
 
 
 def _accepting_paths(t, word):
