@@ -277,6 +277,13 @@ def _at_least(minimum: int):
     return integer
 
 
+def _one_character(text: str) -> str:
+    """An argparse type: a string of exactly one character."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be a single character, got {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fstlearn",
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("output")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--totalize", metavar="SYM")
+    group.add_argument("--totalize", metavar="SYM", type=_one_character)
     group.add_argument("--disambiguate", action="store_true")
     group.add_argument("--trim", action="store_true")
     p.set_defaults(fn=cmd_transform)

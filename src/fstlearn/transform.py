@@ -1,21 +1,41 @@
-"""Closure constructions: partial-to-total reduction with a reject symbol,
-and the powerset-style reduction from functional to unambiguous form."""
+"""Closure constructions: the partial-to-total reduction with a reject
+symbol, and the reduction from functional to unambiguous form.
+
+Both are subset constructions (Rabin & Scott 1959) over one table of the
+destinations of each (state, symbol), walked breadth first by ``_walk``.
+"""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
 
 from .core import Transducer, trim
 from .errors import ConfigurationError
 
 
-class PowersetState(NamedTuple):
-    """A state of the unambiguity construction: a base state of the source
-    machine together with the subset of states reachable on the same input."""
+def _destinations(t: Transducer) -> dict[tuple[int, str], set[int]]:
+    """The destinations of each (state, symbol) of ``t``."""
+    step: dict[tuple[int, str], set[int]] = {}
+    for tr in t.transitions:
+        step.setdefault((tr.src, tr.symbol), set()).add(tr.dst)
+    return step
 
-    base: int
-    context: frozenset
+
+def _walk(start, successors):
+    """Number the nodes reachable from ``start`` in discovery order, where
+    ``successors(node)`` yields ``(symbol, node, output)``; return the ids and
+    the edges ``(src id, symbol, dst id, output)``."""
+    ids = {start: 0}
+    queue = deque([start])
+    edges = []
+    while queue:
+        node = queue.popleft()
+        for sym, nxt, out in successors(node):
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                queue.append(nxt)
+            edges.append((ids[node], sym, ids[nxt], out))
+    return ids, edges
 
 
 def complement_dfa(t: Transducer) -> Transducer:
@@ -26,89 +46,46 @@ def complement_dfa(t: Transducer) -> Transducer:
     sink), acceptance flipped.  State ids follow discovery order.
     """
     alphabet = sorted(t.input_alphabet)
-    step: dict[tuple[int, str], set[int]] = {}
-    for tr in t.transitions:
-        step.setdefault((tr.src, tr.symbol), set()).add(tr.dst)
-    start = frozenset([t.initial])
-    ids: dict[frozenset, int] = {start: 0}
-    queue = deque([start])
-    transitions = []
-    while queue:
-        subset = queue.popleft()
-        sid = ids[subset]
+    step = _destinations(t)
+
+    def successors(subset):
         for sym in alphabet:
-            nxt = frozenset(set().union(*(step.get((q, sym), set()) for q in subset))
-                            if subset else set())
-            if nxt not in ids:
-                ids[nxt] = len(ids)
-                queue.append(nxt)
-            transitions.append((sid, sym, ids[nxt], ""))
+            yield sym, frozenset().union(*(step.get((q, sym), ()) for q in subset)), ""
+
+    ids, edges = _walk(frozenset([t.initial]), successors)
     accepting = {sid for subset, sid in ids.items() if not (subset & t.accepting)}
-    return Transducer(range(len(ids)), t.input_alphabet, (), 0, accepting, transitions)
-
-
-def union(a: Transducer, b: Transducer) -> Transducer:
-    """Union of two relations via a fresh initial state that copies both
-    machines' initial out-transitions; accepts the empty pair iff either
-    operand does."""
-    off_a = 1
-    off_b = 1 + len(a.states)
-    map_a = {q: off_a + i for i, q in enumerate(sorted(a.states))}
-    map_b = {q: off_b + i for i, q in enumerate(sorted(b.states))}
-    transitions = []
-    for tr in a.transitions:
-        transitions.append((map_a[tr.src], tr.symbol, map_a[tr.dst], tr.out))
-    for tr in b.transitions:
-        transitions.append((map_b[tr.src], tr.symbol, map_b[tr.dst], tr.out))
-    for sym, dst, out in a.arcs_from(a.initial):
-        transitions.append((0, sym, map_a[dst], out))
-    for sym, dst, out in b.arcs_from(b.initial):
-        transitions.append((0, sym, map_b[dst], out))
-    accepting = {map_a[q] for q in a.accepting} | {map_b[q] for q in b.accepting}
-    if a.initial in a.accepting or b.initial in b.accepting:
-        accepting.add(0)
-    return Transducer(
-        range(off_b + len(b.states)),
-        a.input_alphabet | b.input_alphabet,
-        a.output_alphabet | b.output_alphabet,
-        0,
-        accepting,
-        transitions,
-    )
+    return Transducer(range(len(ids)), t.input_alphabet, (), 0, accepting, edges)
 
 
 def totalize(t: Transducer, reject: str) -> Transducer:
     """Extend a partial functional relation to a total one over all non-empty
     inputs, mapping every previously rejected input to the reject symbol.
 
-    The rejected inputs are recognized by complementing the input language;
-    that acceptor becomes a transducer emitting ``reject`` on its first step
-    and nothing afterwards (two layers keep the first step unique), and is
-    united with the original machine.  Acceptance of the empty input is
-    whatever ``t`` had.
+    The rejected inputs are those ``complement_dfa(t)`` accepts.  A fresh
+    start, state 0, copies the first step of ``t`` and of the complement, the
+    complement's copies emitting ``reject``; its later steps emit nothing.  Acceptance of the empty input is whatever ``t`` had.  The states
+    of ``t`` are numbered from 1 in sorted order, the complement's from
+    ``2 + len(t.states)`` in discovery order; the one id between the blocks
+    stays unused, which keeps the numbering, and every output, of earlier
+    versions byte for byte.
     """
     if len(reject) != 1:
         raise ConfigurationError("reject symbol must be a single character")
     if reject in t.output_alphabet:
         raise ConfigurationError(f"reject symbol {reject!r} already in output alphabet")
     comp = complement_dfa(t)
-    # layer 0 = fresh start (emits reject on the way out), layer 1 = body
-    body = {q: 1 + q for q in comp.states}
-    start = 0
-    transitions = []
-    for src, sym, dst, _ in comp.transitions:
-        transitions.append((body[src], sym, body[dst], ""))
-        if src == comp.initial:
-            transitions.append((start, sym, body[dst], reject))
-    rejector = Transducer(
-        [start] + [body[q] for q in comp.states],
-        t.input_alphabet,
-        {reject},
-        start,
-        {body[q] for q in comp.accepting},  # layer 0 never accepts: no empty pair
-        transitions,
-    )
-    return trim(union(t, rejector))
+    ids = {q: 1 + i for i, q in enumerate(sorted(t.states))}
+    off = 2 + len(t.states)
+    transitions = [(ids[tr.src], tr.symbol, ids[tr.dst], tr.out) for tr in t.transitions]
+    transitions += [(off + tr.src, tr.symbol, off + tr.dst, "") for tr in comp.transitions]
+    transitions += [(0, sym, ids[dst], out) for sym, dst, out in t.arcs_from(t.initial)]
+    transitions += [(0, sym, off + dst, reject) for sym, dst, _ in comp.arcs_from(comp.initial)]
+    accepting = {ids[q] for q in t.accepting} | {off + q for q in comp.accepting}
+    if t.initial in t.accepting:
+        accepting.add(0)
+    states = [0, *ids.values(), *(off + q for q in comp.states)]
+    outputs = t.output_alphabet | {reject}
+    return trim(Transducer(states, t.input_alphabet, outputs, 0, accepting, transitions))
 
 
 def disambiguate(t: Transducer) -> Transducer:
@@ -120,54 +97,27 @@ def disambiguate(t: Transducer) -> Transducer:
     from the least base state survives; among accepting states sharing a
     context, only the least accepting base keeps acceptance.
     """
-    images: dict[tuple[int, str], set[int]] = {}
-    for tr in t.transitions:
-        images.setdefault((tr.src, tr.symbol), set()).add(tr.dst)
+    alphabet = sorted(t.input_alphabet)
+    step = _destinations(t)
 
-    def image(context: frozenset, sym: str) -> frozenset:
-        return frozenset(
-            set().union(*(images.get((q, sym), set()) for q in context))
-            if context
-            else set()
-        )
+    def successors(node):
+        base, context = node
+        members = sorted(context)
+        for sym in alphabet:
+            # each target's owner is the least context member with an edge to
+            # it; the base is in its context, so it owns its targets unless a
+            # smaller member reaches them too
+            owner: dict[int, int] = {}
+            for q in members:
+                for dst in step.get((q, sym), ()):
+                    owner.setdefault(dst, q)
+            after = frozenset(owner)
+            for _, dst, out in t.arcs_from(base, sym):
+                if owner[dst] == base:
+                    yield sym, (dst, after), out
 
-    start = PowersetState(t.initial, frozenset([t.initial]))
-    ids: dict[PowersetState, int] = {start: 0}
-    queue = deque([start])
-    edges: list[tuple[int, str, int, str]] = []
-    while queue:
-        node = queue.popleft()
-        sid = ids[node]
-        for sym in sorted(t.input_alphabet):
-            ctx2 = image(node.context, sym)
-            if not ctx2:
-                continue
-            # keep one edge per (context, symbol, target): the least base wins,
-            # and this node only emits it if no smaller context member could
-            for _, dst, out in t.arcs_from(node.base, sym):
-                smaller = [
-                    q
-                    for q in node.context
-                    if q < node.base and dst in images.get((q, sym), set())
-                ]
-                if smaller:
-                    continue
-                node2 = PowersetState(dst, ctx2)
-                if node2 not in ids:
-                    ids[node2] = len(ids)
-                    queue.append(node2)
-                edges.append((sid, sym, ids[node2], out))
-    accepting = set()
-    for node, sid in ids.items():
-        acc = sorted(q for q in node.context if q in t.accepting)
-        if acc and node.base == acc[0]:
-            accepting.add(sid)
-    result = Transducer(
-        range(len(ids)),
-        t.input_alphabet,
-        t.output_alphabet,
-        0,
-        accepting,
-        edges,
-    )
-    return trim(result)
+    ids, edges = _walk((t.initial, frozenset([t.initial])), successors)
+    accepting = {sid for (base, context), sid in ids.items()
+                 if base == min(context & t.accepting, default=None)}
+    states = range(len(ids))
+    return trim(Transducer(states, t.input_alphabet, t.output_alphabet, 0, accepting, edges))

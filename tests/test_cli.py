@@ -217,6 +217,19 @@ def test_cmd_transform_totalize_symbol_clash(tmp_path):
     assert main(["transform", str(machine), str(tmp_path / "o.fst"), "--totalize", "#"]) == 1
 
 
+@pytest.mark.parametrize("reject", ["", "ab"])
+def test_cmd_transform_totalize_refuses_a_bad_symbol_at_parse_time(tmp_path, reject, capsys):
+    machine = tmp_path / "m.fst"
+    out = tmp_path / "total.fst"
+    t = Transducer([0, 1], "ab", "x", 0, [1], [(0, "a", 1, "x")])
+    write(machine, serialize_machine(t))
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", str(machine), str(out), "--totalize", reject])
+    assert exc.value.code == 2
+    assert "must be a single character" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "samples",
     ["a\t-\naa\t--\n", "a b\tx\n", "\t-\na\tx\n"],

@@ -1,4 +1,4 @@
-"""Totalization, complement, disambiguation, union."""
+"""Totalization, complement, disambiguation."""
 
 import hashlib
 import random
@@ -16,12 +16,7 @@ from fstlearn.oracle import (
     path_outputs,
     words_up_to,
 )
-from fstlearn.transform import (
-    complement_dfa,
-    disambiguate,
-    totalize,
-    union,
-)
+from fstlearn.transform import complement_dfa, disambiguate, totalize
 
 from machines import (
     BATTERY,
@@ -207,35 +202,6 @@ def test_disambiguate_random_functional():
         d = disambiguate(t)
         assert check_ambiguous_up_to(d, 6).verdict, t
         assert equivalent_up_to(t, d, 6).verdict, t
-
-
-def test_union_with_empty_is_identity():
-    t = Transducer([0, 1], "ab", "x", 0, [1], [(0, "a", 1, "x")])
-    empty = trim(Transducer([0], "ab", "x", 0, [], []))
-    u = union(t, empty)
-    assert equivalent_up_to(u, t, 4).verdict
-
-
-def test_union_of_disjoint_machines():
-    ta = Transducer([0, 1], "ab", "x", 0, [1], [(0, "a", 1, "x")])
-    tb = Transducer([0, 1], "ab", "y", 0, [1], [(0, "b", 1, "y")])
-    u = union(ta, tb)
-    assert transduce(u, "a") == {"x"}
-    assert transduce(u, "b") == {"y"}
-
-
-def test_union_idempotent_on_relation():
-    rng = random.Random(11)
-    for _ in range(8):
-        t = random_machine(rng, max_states=3)
-        assert equivalent_up_to(union(t, t), t, 4).verdict
-
-
-def test_union_epsilon_membership():
-    eps = Transducer([0], "a", "x", 0, [0], [])
-    no_eps = Transducer([0, 1], "a", "x", 0, [1], [(0, "a", 1, "x")])
-    assert transduce(union(eps, no_eps), "") == {""}
-    assert transduce(union(no_eps, no_eps), "") == frozenset()
 
 
 def test_transform_outputs_are_pinned():
