@@ -8,6 +8,7 @@ import pytest
 
 from fstlearn.core import (
     Transducer,
+    Transition,
     configuration_after,
     renumber,
     transduce,
@@ -74,6 +75,40 @@ def test_configuration_branches():
         [0, 1, 2], "a", "xy", 0, [], [(0, "a", 1, "x"), (0, "a", 2, "y")]
     )
     assert configuration_after(t, "a") == {(1, "x"), (2, "y")}
+
+
+def test_construction_canonicalises_its_transition_records():
+    """Duplicates collapse, record order and record type do not matter,
+    ``transitions`` is a sorted tuple of ``Transition``, and ``arcs_from``
+    reads the same arcs as a scan of ``transitions``."""
+    rng = random.Random(23)
+    for _ in range(100):
+        t = random_machine(rng)
+        records = [tuple(tr) for tr in t.transitions]
+        args = (t.states, t.input_alphabet, t.output_alphabet, t.initial, t.accepting)
+        doubled = records + rng.sample(records, rng.randint(1, len(records)))
+        rng.shuffle(doubled)
+        variants = [
+            doubled,
+            [list(r) for r in doubled],
+            [Transition(*r) for r in doubled],
+            iter(doubled),
+            tuple(reversed(doubled)),
+        ]
+        for variant in variants:
+            built = Transducer(*args, variant)
+            assert built == t
+            assert type(built.transitions) is tuple
+            assert all(type(tr) is Transition for tr in built.transitions)
+            assert list(built.transitions) == sorted(set(records))
+        for q in t.states | {max(t.states) + 1}:
+            scan = [(tr.symbol, tr.dst, tr.out) for tr in t.transitions if tr.src == q]
+            assert t.arcs_from(q) == scan
+            for sym in t.input_alphabet:
+                assert t.arcs_from(q, sym) == [a for a in scan if a[0] == sym]
+    for bad in [(0, "a", 1), (0, "a", 1, "x", "y"), ()]:
+        with pytest.raises(TypeError):
+            Transducer([0, 1], "a", "x", 0, [1], [(0, "a", 1, "x"), bad])
 
 
 def test_trim_drops_unreachable():
