@@ -12,11 +12,16 @@ rest of its pending output (the residual outputs of Mohri's determinisation,
 1997).  Steps are memoised per call on (configuration, symbol); the memo is
 dropped whenever what it holds outgrows the input.  For runs of bounded delay
 a call is thus linear in the lengths of the input and the output.
+
+Trimming (``trim``) keeps the states found by one forward walk from the
+initial state and one backward walk from the accepting states
+(``live_states``).  When it cuts nothing it returns its argument, which is
+safe because values are immutable.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple, Optional
 
@@ -60,6 +65,13 @@ class Transducer:
     ``transitions`` is kept as a sorted tuple of unique records; at most one
     record per (src, symbol, dst) triple is legal (checked by ``validate``,
     not enforced on construction so that malformed machines can be reported).
+    Construction canonicalises the records it is given: duplicates collapse,
+    and their order and type (tuple, list or ``Transition``) do not matter.
+
+    The private constructor ``_from_sorted`` skips that step and keeps the
+    ``transitions`` it is given, which must therefore already be a sorted
+    tuple of unique ``Transition`` records, such as a filtered subsequence of
+    another machine's ``transitions``.
     """
 
     __slots__ = (
@@ -81,16 +93,44 @@ class Transducer:
         accepting: Iterable[int],
         transitions: Iterable[tuple],
     ):
+        records = sorted(set(map(tuple, transitions)))
+        self._fill(
+            states,
+            input_alphabet,
+            output_alphabet,
+            initial,
+            accepting,
+            tuple(map(Transition._make, records)),
+        )
+
+    @classmethod
+    def _from_sorted(
+        cls,
+        states: Iterable[int],
+        input_alphabet: Iterable[str],
+        output_alphabet: Iterable[str],
+        initial: int,
+        accepting: Iterable[int],
+        transitions: tuple[Transition, ...],
+    ) -> "Transducer":
+        """Build around ``transitions``, already a sorted tuple of unique
+        ``Transition`` records, which is kept as it is."""
+        t = object.__new__(cls)
+        t._fill(states, input_alphabet, output_alphabet, initial, accepting, transitions)
+        return t
+
+    def _fill(
+        self, states, input_alphabet, output_alphabet, initial, accepting, transitions
+    ):
         object.__setattr__(self, "states", frozenset(states))
         object.__setattr__(self, "input_alphabet", frozenset(input_alphabet))
         object.__setattr__(self, "output_alphabet", frozenset(output_alphabet))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", frozenset(accepting))
-        trans = tuple(sorted({Transition(*t) for t in transitions}))
-        object.__setattr__(self, "transitions", trans)
+        object.__setattr__(self, "transitions", transitions)
         adj: dict[int, dict[str, list[tuple[int, str]]]] = {}
-        for t in trans:
-            adj.setdefault(t.src, {}).setdefault(t.symbol, []).append((t.dst, t.out))
+        for src, sym, dst, out in transitions:
+            adj.setdefault(src, {}).setdefault(sym, []).append((dst, out))
         object.__setattr__(self, "_adj", adj)
 
     def __setattr__(self, name, value):
@@ -214,41 +254,52 @@ def transduce(t: Transducer, inp: str) -> frozenset:
     return frozenset(out for state, out in conf if state in t.accepting)
 
 
+def live_states(
+    initial: int, accepting: Collection[int], transitions: Iterable[tuple]
+) -> set[int]:
+    """The states on some path from ``initial`` to a member of ``accepting``
+    over ``transitions``, records (src, symbol, dst, out).
+
+    A forward walk from ``initial``, then a backward walk from the accepting
+    states it reached that stays among the states it reached.
+    """
+    succ: defaultdict[int, list[int]] = defaultdict(list)
+    pred: defaultdict[int, list[int]] = defaultdict(list)
+    for src, _, dst, _ in transitions:
+        succ[src].append(dst)
+        pred[dst].append(src)
+    fwd = {initial}
+    stack = [initial]
+    while stack:
+        for dst in succ[stack.pop()]:
+            if dst not in fwd:
+                fwd.add(dst)
+                stack.append(dst)
+    live = fwd.intersection(accepting)
+    stack = list(live)
+    while stack:
+        for src in pred[stack.pop()]:
+            if src in fwd and src not in live:
+                live.add(src)
+                stack.append(src)
+    return live
+
+
 def trim(t: Transducer) -> Transducer:
     """Restrict to states lying on some path from the initial state to an
     accepting state.  If nothing is accepted, the single-state empty-relation
-    machine over the same alphabets is returned."""
-    fwd = {t.initial}
-    queue = deque([t.initial])
-    while queue:
-        q = queue.popleft()
-        for _, dst, _ in t.arcs_from(q):
-            if dst not in fwd:
-                fwd.add(dst)
-                queue.append(dst)
-    rev: dict[int, set[int]] = {}
-    for tr in t.transitions:
-        rev.setdefault(tr.dst, set()).add(tr.src)
-    bwd = set(t.accepting)
-    queue = deque(t.accepting)
-    while queue:
-        q = queue.popleft()
-        for src in rev.get(q, ()):
-            if src not in bwd:
-                bwd.add(src)
-                queue.append(src)
-    keep = fwd & bwd
-    if t.initial not in keep:
-        return Transducer(
-            [t.initial], t.input_alphabet, t.output_alphabet, t.initial, [], []
-        )
-    return Transducer(
-        keep,
-        t.input_alphabet,
-        t.output_alphabet,
-        t.initial,
-        t.accepting & keep,
-        [tr for tr in t.transitions if tr.src in keep and tr.dst in keep],
+    machine over the same alphabets is returned.  If nothing is cut, ``t``
+    itself is returned."""
+    live = live_states(t.initial, t.accepting, t.transitions)
+    if t.initial in live:
+        kept = tuple(tr for tr in t.transitions if tr.src in live and tr.dst in live)
+    else:
+        live, kept = {t.initial}, ()
+    accepting = t.accepting & live
+    if live == t.states and accepting == t.accepting and len(kept) == len(t.transitions):
+        return t
+    return Transducer._from_sorted(
+        live, t.input_alphabet, t.output_alphabet, t.initial, accepting, kept
     )
 
 

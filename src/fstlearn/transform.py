@@ -3,13 +3,15 @@ symbol, and the reduction from functional to unambiguous form.
 
 Both are subset constructions (Rabin & Scott 1959) over one table of the
 destinations of each (state, symbol), walked breadth first by ``_walk``.
+Their edges are cut to the live states before a machine is built, so each
+builds its result once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .core import Transducer, trim
+from .core import Transducer, live_states
 from .errors import ConfigurationError
 
 
@@ -19,6 +21,16 @@ def _destinations(t: Transducer) -> dict[tuple[int, str], set[int]]:
     for tr in t.transitions:
         step.setdefault((tr.src, tr.symbol), set()).add(tr.dst)
     return step
+
+
+def _trimmed(input_alphabet, output_alphabet, accepting: set[int], edges) -> Transducer:
+    """The machine with initial state 0 that ``trim`` would make of
+    ``edges``, built once: the edges are cut to the live states first."""
+    live = live_states(0, accepting, edges)
+    if 0 not in live:
+        return Transducer([0], input_alphabet, output_alphabet, 0, [], [])
+    edges = [e for e in edges if e[0] in live and e[2] in live]
+    return Transducer(live, input_alphabet, output_alphabet, 0, accepting & live, edges)
 
 
 def _walk(start, successors):
@@ -63,8 +75,9 @@ def totalize(t: Transducer, reject: str) -> Transducer:
 
     The rejected inputs are those ``complement_dfa(t)`` accepts.  A fresh
     start, state 0, copies the first step of ``t`` and of the complement, the
-    complement's copies emitting ``reject``; its later steps emit nothing.  Acceptance of the empty input is whatever ``t`` had.  The states
-    of ``t`` are numbered from 1 in sorted order, the complement's from
+    complement's copies emitting ``reject``; its later steps emit nothing.
+    Acceptance of the empty input is whatever ``t`` had.  The states of ``t``
+    are numbered from 1 in sorted order, the complement's from
     ``2 + len(t.states)`` in discovery order; the one id between the blocks
     stays unused, which keeps the numbering, and every output, of earlier
     versions byte for byte.
@@ -83,9 +96,7 @@ def totalize(t: Transducer, reject: str) -> Transducer:
     accepting = {ids[q] for q in t.accepting} | {off + q for q in comp.accepting}
     if t.initial in t.accepting:
         accepting.add(0)
-    states = [0, *ids.values(), *(off + q for q in comp.states)]
-    outputs = t.output_alphabet | {reject}
-    return trim(Transducer(states, t.input_alphabet, outputs, 0, accepting, transitions))
+    return _trimmed(t.input_alphabet, t.output_alphabet | {reject}, accepting, transitions)
 
 
 def disambiguate(t: Transducer) -> Transducer:
@@ -119,5 +130,4 @@ def disambiguate(t: Transducer) -> Transducer:
     ids, edges = _walk((t.initial, frozenset([t.initial])), successors)
     accepting = {sid for (base, context), sid in ids.items()
                  if base == min(context & t.accepting, default=None)}
-    states = range(len(ids))
-    return trim(Transducer(states, t.input_alphabet, t.output_alphabet, 0, accepting, edges))
+    return _trimmed(t.input_alphabet, t.output_alphabet, accepting, edges)

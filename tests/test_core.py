@@ -3,6 +3,7 @@
 import os
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -15,10 +16,20 @@ from fstlearn.core import (
     trim,
     validate,
 )
+from fstlearn import ambiguity
 from fstlearn.errors import AlphabetError
-from fstlearn.oracle import accepting_paths, path_outputs, words_up_to
+from fstlearn.infer import infer
+from fstlearn.oracle import accepting_paths, generate_informant, path_outputs, words_up_to
+from fstlearn.transform import disambiguate, totalize
 
-from machines import LAST_LETTER, random_machine, random_mostly_deterministic
+from machines import (
+    BATTERY,
+    LAST_LETTER,
+    NONDET_EXAMPLE,
+    PARITY_HASH,
+    random_machine,
+    random_mostly_deterministic,
+)
 
 
 def test_transduce_single_path():
@@ -142,6 +153,142 @@ def test_trim_empty_result_is_single_state():
     assert trimmed.states == {0}
     assert not trimmed.accepting
     assert not trimmed.transitions
+
+
+def reference_reach(t):
+    """The states reachable from the initial state and the states that reach
+    an accepting state, by a breadth-first walk over ``arcs_from`` and a
+    reverse walk over a set of predecessors per state."""
+    fwd = {t.initial}
+    queue = deque([t.initial])
+    while queue:
+        q = queue.popleft()
+        for _, dst, _ in t.arcs_from(q):
+            if dst not in fwd:
+                fwd.add(dst)
+                queue.append(dst)
+    rev = {}
+    for tr in t.transitions:
+        rev.setdefault(tr.dst, set()).add(tr.src)
+    bwd = set(t.accepting)
+    queue = deque(t.accepting)
+    while queue:
+        q = queue.popleft()
+        for src in rev.get(q, ()):
+            if src not in bwd:
+                bwd.add(src)
+                queue.append(src)
+    return fwd, bwd
+
+
+def reference_trim(t):
+    """The reference for ``trim``: the live states are those both walks of
+    ``reference_reach`` find, and the result is rebuilt through the public
+    constructor."""
+    fwd, bwd = reference_reach(t)
+    keep = fwd & bwd
+    if t.initial not in keep:
+        return Transducer([t.initial], t.input_alphabet, t.output_alphabet, t.initial, [], [])
+    return Transducer(
+        keep,
+        t.input_alphabet,
+        t.output_alphabet,
+        t.initial,
+        t.accepting & keep,
+        [tr for tr in t.transitions if tr.src in keep and tr.dst in keep],
+    )
+
+
+def raw_machine(rng):
+    """A random machine that need not be trim: it may accept nothing, any
+    state, the initial one included, may be unreachable or a dead end, and
+    state ``n`` of ``n + 1``, if present, has no outgoing transition."""
+    n = rng.randint(1, 7)
+    size = n + rng.randint(0, 1)
+    density = rng.choice((0.05, 0.15, 0.3))
+    transitions = [
+        (src, sym, dst, rng.choice(("", "x", "y", "xy")))
+        for src in range(n)
+        for sym in "ab"
+        for dst in range(size)
+        if rng.random() < density
+    ]
+    share = rng.choice((0.0, 0.15, 0.3, 1.0))
+    accepting = [q for q in range(n) if rng.random() < share]
+    return Transducer(range(size), "ab", "xy", rng.randrange(n), accepting, transitions)
+
+
+def test_trim_matches_the_reference_on_random_machines():
+    rng = random.Random(31)
+    seen = dict.fromkeys(
+        ("accepts nothing", "initial reaches no accepting state", "dead end",
+         "unreachable state", "already trim"), 0)
+    for _ in range(400):
+        t = raw_machine(rng)
+        ref = reference_trim(t)
+        got = trim(t)
+        assert got == ref, t
+        for q in t.states | ref.states:
+            assert got.arcs_from(q) == ref.arcs_from(q)
+            for sym in t.input_alphabet:
+                assert got.arcs_from(q, sym) == ref.arcs_from(q, sym)
+        assert (got is t) == (ref == t)
+        assert trim(got) is got
+        fwd, bwd = reference_reach(t)
+        seen["accepts nothing"] += not t.accepting
+        seen["initial reaches no accepting state"] += bool(t.accepting) and t.initial not in bwd
+        seen["dead end"] += t.initial in bwd and bool(fwd - bwd)
+        seen["unreachable state"] += bool(t.states - fwd)
+        seen["already trim"] += got is t and bool(t.transitions)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_each_call_builds_each_machine_once(monkeypatch):
+    """``disambiguate`` builds its result alone, ``totalize`` the complement
+    and its result, and ``infer`` the prefix tree, the materialized
+    hypothesis, which is already trim, and the renumbered model.  Both
+    constructors are counted."""
+    built = 0
+    init = Transducer.__init__
+    from_sorted = getattr(Transducer, "_from_sorted", None)
+
+    def counted_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    def counted_from_sorted(cls, *args):
+        nonlocal built
+        built += 1
+        return from_sorted(*args)
+
+    def builds(call, *args):
+        nonlocal built
+        built = 0
+        call(*args)
+        return built
+
+    materialized = []
+    materialize = ambiguity.QuotientView.materialize
+
+    def kept_materialize(self):
+        materialized.append(materialize(self))
+        return materialized[-1]
+
+    rng = random.Random(37)
+    machines = [t for _, t, _ in BATTERY] + [NONDET_EXAMPLE, PARITY_HASH]
+    machines += [raw_machine(rng) for _ in range(30)]
+    informants = [generate_informant(t, 5) for _, t, _ in BATTERY]
+    monkeypatch.setattr(Transducer, "__init__", counted_init)
+    monkeypatch.setattr(Transducer, "_from_sorted", classmethod(counted_from_sorted),
+                        raising=False)
+    monkeypatch.setattr(ambiguity.QuotientView, "materialize", kept_materialize)
+    for t in machines:
+        assert builds(disambiguate, t) == 1
+        assert builds(totalize, t, "%" if "#" in t.output_alphabet else "#") == 2
+    for informant in informants:
+        assert builds(infer, informant) == 3
+        assert trim(materialized[-1]) is materialized[-1]
 
 
 def test_validate_clean():
