@@ -23,7 +23,12 @@ def _destinations(t: Transducer) -> dict[tuple[int, str], set[int]]:
     return step
 
 
-def _trimmed(input_alphabet, output_alphabet, accepting: set[int], edges) -> Transducer:
+def _trimmed(
+    input_alphabet: frozenset[str],
+    output_alphabet: frozenset[str],
+    accepting: set[int],
+    edges: list[tuple[int, str, int, str]],
+) -> Transducer:
     """The machine with initial state 0 that ``trim`` would make of
     ``edges``, built once: the edges are cut to the live states first."""
     live = live_states(0, accepting, edges)

@@ -200,9 +200,11 @@ def reference_trim(t):
 
 
 def raw_machine(rng):
-    """A random machine that need not be trim: it may accept nothing, any
-    state, the initial one included, may be unreachable or a dead end, and
-    state ``n`` of ``n + 1``, if present, has no outgoing transition."""
+    """A random machine that need not be trim: it may accept nothing, and
+    any state, the initial one included, may be unreachable or a dead end.
+    State ``n``, if present, has no outgoing transition; it may be accepting,
+    and it may be left out of ``states`` (a malformed machine that ``trim``
+    still handles)."""
     n = rng.randint(1, 7)
     size = n + rng.randint(0, 1)
     density = rng.choice((0.05, 0.15, 0.3))
@@ -214,8 +216,9 @@ def raw_machine(rng):
         if rng.random() < density
     ]
     share = rng.choice((0.0, 0.15, 0.3, 1.0))
-    accepting = [q for q in range(n) if rng.random() < share]
-    return Transducer(range(size), "ab", "xy", rng.randrange(n), accepting, transitions)
+    accepting = [q for q in range(size) if rng.random() < share]
+    listed = rng.choice((n, size))
+    return Transducer(range(listed), "ab", "xy", rng.randrange(n), accepting, transitions)
 
 
 def test_trim_matches_the_reference_on_random_machines():
@@ -250,7 +253,7 @@ def test_each_call_builds_each_machine_once(monkeypatch):
     constructors are counted."""
     built = 0
     init = Transducer.__init__
-    from_sorted = getattr(Transducer, "_from_sorted", None)
+    from_sorted = Transducer._from_sorted
 
     def counted_init(self, *args):
         nonlocal built
@@ -277,11 +280,10 @@ def test_each_call_builds_each_machine_once(monkeypatch):
 
     rng = random.Random(37)
     machines = [t for _, t, _ in BATTERY] + [NONDET_EXAMPLE, PARITY_HASH]
-    machines += [raw_machine(rng) for _ in range(30)]
+    machines += [t for t in (raw_machine(rng) for _ in range(60)) if not validate(t)]
     informants = [generate_informant(t, 5) for _, t, _ in BATTERY]
     monkeypatch.setattr(Transducer, "__init__", counted_init)
-    monkeypatch.setattr(Transducer, "_from_sorted", classmethod(counted_from_sorted),
-                        raising=False)
+    monkeypatch.setattr(Transducer, "_from_sorted", classmethod(counted_from_sorted))
     monkeypatch.setattr(ambiguity.QuotientView, "materialize", kept_materialize)
     for t in machines:
         assert builds(disambiguate, t) == 1
