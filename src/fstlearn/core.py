@@ -15,8 +15,9 @@ a call is thus linear in the lengths of the input and the output.
 
 Trimming (``trim``) keeps the states found by one forward walk from the
 initial state and one backward walk from the accepting states
-(``live_states``).  When it cuts nothing it returns its argument, which is
-safe because values are immutable.
+(``live_part``, which the closure constructions also use to cut their edges
+before they build a machine).  When it cuts nothing it returns its argument,
+which is safe because values are immutable.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ class Transducer:
     not enforced on construction so that malformed machines can be reported).
     Construction canonicalises the records it is given: duplicates collapse,
     and their order and type (tuple, list or ``Transition``) do not matter.
-
-    The private constructor ``_from_sorted`` skips that step and keeps the
-    ``transitions`` it is given, which must therefore already be a sorted
-    tuple of unique ``Transition`` records, such as a filtered subsequence of
-    another machine's ``transitions``.
     """
 
     __slots__ = (
@@ -93,43 +89,15 @@ class Transducer:
         accepting: Iterable[int],
         transitions: Iterable[tuple],
     ):
-        records = sorted(set(map(tuple, transitions)))
-        self._fill(
-            states,
-            input_alphabet,
-            output_alphabet,
-            initial,
-            accepting,
-            tuple(map(Transition._make, records)),
-        )
-
-    @classmethod
-    def _from_sorted(
-        cls,
-        states: Iterable[int],
-        input_alphabet: Iterable[str],
-        output_alphabet: Iterable[str],
-        initial: int,
-        accepting: Iterable[int],
-        transitions: tuple[Transition, ...],
-    ) -> "Transducer":
-        """Build around ``transitions``, already a sorted tuple of unique
-        ``Transition`` records, which is kept as it is."""
-        t = object.__new__(cls)
-        t._fill(states, input_alphabet, output_alphabet, initial, accepting, transitions)
-        return t
-
-    def _fill(
-        self, states, input_alphabet, output_alphabet, initial, accepting, transitions
-    ):
+        records = tuple(map(Transition._make, sorted(set(map(tuple, transitions)))))
         object.__setattr__(self, "states", frozenset(states))
         object.__setattr__(self, "input_alphabet", frozenset(input_alphabet))
         object.__setattr__(self, "output_alphabet", frozenset(output_alphabet))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", frozenset(accepting))
-        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "transitions", records)
         adj: dict[int, dict[str, list[tuple[int, str]]]] = {}
-        for src, sym, dst, out in transitions:
+        for src, sym, dst, out in records:
             adj.setdefault(src, {}).setdefault(sym, []).append((dst, out))
         object.__setattr__(self, "_adj", adj)
 
@@ -254,14 +222,17 @@ def transduce(t: Transducer, inp: str) -> frozenset:
     return frozenset(out for state, out in conf if state in t.accepting)
 
 
-def live_states(
-    initial: int, accepting: Collection[int], transitions: Iterable[tuple]
-) -> set[int]:
-    """The states on some path from ``initial`` to a member of ``accepting``
-    over ``transitions``, records (src, symbol, dst, out).
+def live_part(
+    initial: int, accepting: Collection[int], transitions: Collection[tuple]
+) -> tuple[set[int], set[int], list]:
+    """The states, accepting states and transitions of the part of a machine
+    that lies on some path from ``initial`` to a member of ``accepting``;
+    ``transitions`` are records (src, symbol, dst, out).  If no such path
+    exists, the part is ``initial`` alone, accepting nothing.
 
-    A forward walk from ``initial``, then a backward walk from the accepting
-    states it reached that stays among the states it reached.
+    The live states are found by a forward walk from ``initial``, then a
+    backward walk from the accepting states it reached that stays among the
+    states it reached.
     """
     succ: defaultdict[int, list[int]] = defaultdict(list)
     pred: defaultdict[int, list[int]] = defaultdict(list)
@@ -275,32 +246,29 @@ def live_states(
             if dst not in fwd:
                 fwd.add(dst)
                 stack.append(dst)
-    live = fwd.intersection(accepting)
-    stack = list(live)
+    final = fwd.intersection(accepting)
+    if not final:
+        return {initial}, set(), []
+    live = set(final)
+    stack = list(final)
     while stack:
         for src in pred[stack.pop()]:
             if src in fwd and src not in live:
                 live.add(src)
                 stack.append(src)
-    return live
+    kept = [tr for tr in transitions if tr[0] in live and tr[2] in live]
+    return live, final, kept
 
 
 def trim(t: Transducer) -> Transducer:
     """Restrict to states lying on some path from the initial state to an
-    accepting state.  If nothing is accepted, the single-state empty-relation
-    machine over the same alphabets is returned.  If nothing is cut, ``t``
-    itself is returned."""
-    live = live_states(t.initial, t.accepting, t.transitions)
-    if t.initial in live:
-        kept = tuple(tr for tr in t.transitions if tr.src in live and tr.dst in live)
-    else:
-        live, kept = {t.initial}, ()
-    accepting = t.accepting & live
-    if live == t.states and accepting == t.accepting and len(kept) == len(t.transitions):
+    accepting state (``live_part``).  If nothing is accepted, the
+    single-state empty-relation machine over the same alphabets is returned.
+    If nothing is cut, ``t`` itself is returned."""
+    states, accepting, kept = live_part(t.initial, t.accepting, t.transitions)
+    if states == t.states and accepting == t.accepting and len(kept) == len(t.transitions):
         return t
-    return Transducer._from_sorted(
-        live, t.input_alphabet, t.output_alphabet, t.initial, accepting, kept
-    )
+    return Transducer(states, t.input_alphabet, t.output_alphabet, t.initial, accepting, kept)
 
 
 def validate(t: Transducer) -> list[Violation]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Transducer, live_states
+from .core import Transducer, live_part
 from .errors import ConfigurationError
 
 
@@ -30,12 +30,9 @@ def _trimmed(
     edges: list[tuple[int, str, int, str]],
 ) -> Transducer:
     """The machine with initial state 0 that ``trim`` would make of
-    ``edges``, built once: the edges are cut to the live states first."""
-    live = live_states(0, accepting, edges)
-    if 0 not in live:
-        return Transducer([0], input_alphabet, output_alphabet, 0, [], [])
-    edges = [e for e in edges if e[0] in live and e[2] in live]
-    return Transducer(live, input_alphabet, output_alphabet, 0, accepting & live, edges)
+    ``edges``, built once: the edges are cut to the live part first."""
+    states, accepting, edges = live_part(0, accepting, edges)
+    return Transducer(states, input_alphabet, output_alphabet, 0, accepting, edges)
 
 
 def _walk(start, successors):

@@ -249,21 +249,14 @@ def test_trim_matches_the_reference_on_random_machines():
 def test_each_call_builds_each_machine_once(monkeypatch):
     """``disambiguate`` builds its result alone, ``totalize`` the complement
     and its result, and ``infer`` the prefix tree, the materialized
-    hypothesis, which is already trim, and the renumbered model.  Both
-    constructors are counted."""
+    hypothesis, which is already trim, and the renumbered model."""
     built = 0
     init = Transducer.__init__
-    from_sorted = Transducer._from_sorted
 
     def counted_init(self, *args):
         nonlocal built
         built += 1
         init(self, *args)
-
-    def counted_from_sorted(cls, *args):
-        nonlocal built
-        built += 1
-        return from_sorted(*args)
 
     def builds(call, *args):
         nonlocal built
@@ -283,7 +276,6 @@ def test_each_call_builds_each_machine_once(monkeypatch):
     machines += [t for t in (raw_machine(rng) for _ in range(60)) if not validate(t)]
     informants = [generate_informant(t, 5) for _, t, _ in BATTERY]
     monkeypatch.setattr(Transducer, "__init__", counted_init)
-    monkeypatch.setattr(Transducer, "_from_sorted", classmethod(counted_from_sorted))
     monkeypatch.setattr(ambiguity.QuotientView, "materialize", kept_materialize)
     for t in machines:
         assert builds(disambiguate, t) == 1
