@@ -2,11 +2,12 @@
 
 The search walks unordered state pairs of the machine squared with itself
 (Béal, Carton, Prieur & Sakarovitch, "Squaring transducers", 2003).
-Pending merges are kept in a union-find and consulted when transitions are
-expanded, so states identified by a merge are interchangeable without
-rewriting the machine.  Two kinds of witness event are collected: a pair of
-distinct same-symbol edges reconverging on one state class, and a reachable
-pair of two distinct accepting classes.
+Pending merges are kept in a class map, from each state to its class's least
+member, and consulted when transitions are expanded, so states identified by
+a merge are interchangeable without rewriting the machine.  Two kinds of
+witness event are collected: a pair of distinct same-symbol edges
+reconverging on one state class, and a reachable pair of two distinct
+accepting classes.
 
 ``QuotientView`` keeps each class's sorted edge list, its incoming raw
 transitions and its acceptance up to date.  Every class has an edge list from
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Path, Transducer, Transition
 from .errors import InvariantError
@@ -81,50 +82,15 @@ from .errors import InvariantError
 RawKey = tuple  # (src, symbol, dst) of the underlying machine
 
 
-class UnionFind:
-    """Union-find over state ids; the representative is the least member.
-
-    ``saved`` maps each node whose parent was written since it was last
-    cleared to its parent before the first of those writes, path compression
-    included, so that restoring it undoes them (set union with backtracking,
-    Westbrook & Tarjan, SIAM J. Comput. 18(1), 1989)."""
-
-    __slots__ = ("parent", "members", "saved")
-
-    def __init__(self, universe: Iterable[int]):
-        self.parent = {q: q for q in universe}
-        self.members = {q: [q] for q in universe}
-        self.saved: dict[int, int] = {}
-
-    def find(self, q: int) -> int:
-        parent = self.parent
-        root = q
-        while parent[root] != root:
-            root = parent[root]
-        while parent[q] != root:
-            self.saved.setdefault(q, parent[q])
-            parent[q], q = root, parent[q]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        keep, drop = (ra, rb) if ra < rb else (rb, ra)
-        self.saved.setdefault(drop, drop)
-        self.parent[drop] = keep
-        self.members[keep].extend(self.members.pop(drop))
-        return keep
-
-    def classes(self) -> list[int]:
-        return sorted(self.members)
-
-
 class QuotientView:
     """The machine seen through an alias map plus an output overlay.
 
     The base transducer is never mutated; push-backs record new outputs in
-    ``overlay`` keyed by raw (src, symbol, dst) triples.  Every change goes
+    ``overlay`` keyed by raw (src, symbol, dst) triples.  ``parent`` maps
+    every state to its class's representative, the class's least member, so
+    ``find`` is one lookup, and ``members`` maps each representative to its
+    class's states.  ``union`` re-points the states of the class it folds,
+    the list it moves into the survivor's ``members``.  Every change goes
     through ``union`` or ``set_outs``, which keep three per-class facts
     current instead of recomputing them on each call:
 
@@ -153,27 +119,29 @@ class QuotientView:
     or last called ``keep`` or ``rollback``; ``keep`` makes the changes since
     then permanent.  For this the view saves, before the first change since
     then to each class's facts, the class's edge list, its ``incoming`` and
-    ``uf.members`` lists with their lengths, and whether it accepts; the
-    union-find saves the first old parent of each node it writes, path
-    compression included, and ``set_outs`` the first old overlay entry of
-    each key.  Between two calls the two lists only grow in place, so a
-    saved length restores one.  A class whose list a union only marks stale
-    is saved too, with its stale mark: a re-key under the union can fuse two
-    of its entries.  A stale list of a class that no change touched can be
-    re-keyed before a rollback: it has no edge into a folded class, so it
-    reads as it would after.  The saved state grows with the classes
-    changed, not with the unions: a long cascade holds one old edge list per
-    class, and ``changed`` names the surviving ones.
+    ``members`` lists with their lengths, and whether it accepts, and
+    ``set_outs`` saves the first old overlay entry of each key.  Between two
+    calls the two lists only grow in place, so a saved length restores one.
+    A folded class's restored member list names every state that a union
+    re-pointed away from it, so ``rollback`` re-points those lists; a state
+    of a class that survived was never re-pointed.  A class whose list a
+    union only marks stale is saved too, with its stale mark: a re-key under
+    the union can fuse two of its entries.  A stale list of a class that no
+    change touched can be re-keyed before a rollback: it has no edge into a
+    folded class, so it reads as it would after.  The saved state grows with
+    the classes changed, not with the unions: a long cascade holds one old
+    edge list per class, and ``changed`` names the surviving ones.
     """
 
     __slots__ = (
-        "base", "uf", "find", "overlay", "incoming",
+        "base", "parent", "members", "find", "overlay", "incoming",
         "_raw_out", "_edges", "_stale", "_accepting", "_saved", "_saved_out")
 
     def __init__(self, base: Transducer):
         self.base = base
-        self.uf = UnionFind(base.states)
-        self.find = self.uf.find
+        self.parent = {q: q for q in base.states}
+        self.members = {q: [q] for q in base.states}
+        self.find = self.parent.__getitem__
         self.overlay: dict[RawKey, str] = {}
         self.incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
         self._raw_out: dict[RawKey, str] = {}
@@ -190,7 +158,7 @@ class QuotientView:
         self._saved_out: dict[RawKey, Optional[str]] = {}
 
     def _save(self, cls: int) -> None:
-        into, members = self.incoming[cls], self.uf.members[cls]
+        into, members = self.incoming[cls], self.members[cls]
         self._saved[cls] = (self._edges[cls], cls in self._stale, into, len(into),
                             members, len(members), cls in self._accepting)
 
@@ -202,12 +170,15 @@ class QuotientView:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return set()
+        keep, drop = (ra, rb) if ra < rb else (rb, ra)
         saved = self._saved
-        for cls in (ra, rb):
+        for cls in (keep, drop):
             if cls not in saved:
                 self._save(cls)
-        keep = self.uf.union(ra, rb)
-        drop = rb if keep == ra else ra
+        folded = self.members.pop(drop)
+        for q in folded:
+            self.parent[q] = keep
+        self.members[keep] += folded
         find, edges = self.find, self._edges
         edges[keep] = [*edges[keep], *edges.pop(drop)]
         into_keep, into_drop = self.incoming[keep], self.incoming.pop(drop)
@@ -249,31 +220,33 @@ class QuotientView:
 
     def changed(self) -> list[int]:
         """The surviving classes changed since the last ``keep`` or ``rollback``."""
-        return [cls for cls in self._saved if cls in self.uf.members]
+        return [cls for cls in self._saved if cls in self.members]
 
     def keep(self) -> None:
         """Make every change since the last ``keep`` or ``rollback``
         permanent."""
         self._saved.clear()
         self._saved_out.clear()
-        self.uf.saved.clear()
 
     def rollback(self) -> None:
         """Undo every change since the last ``keep`` or ``rollback``."""
-        self.uf.parent.update(self.uf.saved)
         overlay = self.overlay
         for key, out in self._saved_out.items():
             if out is None:
                 del overlay[key]
             else:
                 overlay[key] = out
-        members, stale, accepting = self.uf.members, self._stale, self._accepting
+        parent, members = self.parent, self.members
+        stale, accepting = self._stale, self._accepting
         for cls, (edges, was_stale, into, n_into, mine, n_mine, accepts) in self._saved.items():
             self._edges[cls] = edges
             (stale.add if was_stale else stale.discard)(cls)
             del into[n_into:]
             self.incoming[cls] = into
             del mine[n_mine:]
+            if cls not in members:
+                for q in mine:
+                    parent[q] = cls
             members[cls] = mine
             (accepting.add if accepts else accepting.discard)(cls)
         self.keep()
@@ -300,7 +273,7 @@ class QuotientView:
         """The raw arcs leaving a class's members, as (symbol, raw dst,
         output, raw key) entries."""
         entries = []
-        for q in self.uf.members[cls]:
+        for q in self.members[cls]:
             for sym, dst, _ in self.base.arcs_from(q):
                 key = (q, sym, dst)
                 entries.append((sym, dst, self.out(key), key))
@@ -315,7 +288,7 @@ class QuotientView:
 
     def materialize(self) -> Transducer:
         """Collapse aliases and overlay into a fresh transducer."""
-        classes = self.uf.classes()
+        classes = sorted(self.members)
         transitions = []
         for cls in classes:
             for sym, dst, out, _ in self.edges_from(cls):
@@ -566,9 +539,8 @@ def square_reach(t: Transducer, aliases=()) -> PairSearchState:
 def find_ambiguity(t: Transducer, st: PairSearchState) -> Optional[AmbiguousPathPair]:
     """First valid witness of ambiguity in discovery order, if any.
 
-    Explores ``st`` to the end first; the scan does not consume events.  It
-    then keeps the view's changes (``QuotientView.keep``), which leaves no
-    undo state of its path compression behind.
+    Explores ``st`` to the end first; the scan does not consume events and,
+    like the search, only reads the view.
     """
     view = st.view
 
@@ -577,11 +549,8 @@ def find_ambiguity(t: Transducer, st: PairSearchState) -> Optional[AmbiguousPath
         return Path(tuple(Transition(find(k[0]), k[1], find(k[2]), view.out(k)) for k in keys))
 
     st.explore()
-    found = None
     for event in st.events:
         witness = st._build_witness(event)
         if witness is not None:
-            found = AmbiguousPathPair(*map(path, witness))
-            break
-    view.keep()
-    return found
+            return AmbiguousPathPair(*map(path, witness))
+    return None

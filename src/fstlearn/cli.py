@@ -32,6 +32,13 @@ from .infer import LearnerConfig, infer
 
 
 def serialize_machine(t: Transducer, epsilon_output: Optional[str] = None) -> str:
+    symbols = t.input_alphabet | {tr.symbol for tr in t.transitions}
+    long = sorted(sym for sym in symbols | t.output_alphabet if len(sym) != 1)
+    if long:
+        raise FormatError(
+            f"symbols {long!r} cannot be written to a machine file: "
+            "a machine reads and writes one character at a time"
+        )
     used = "".join(t.input_alphabet | t.output_alphabet) + (epsilon_output or "")
     reserved = sorted({ch for ch in used if ch == "-" or ch.isspace()})
     if reserved:

@@ -278,6 +278,9 @@ def validate(t: Transducer) -> list[Violation]:
         report.append(Violation("initial", f"initial state {t.initial} not in states"))
     for q in sorted(t.accepting - t.states):
         report.append(Violation("accepting", f"accepting state {q} not in states"))
+    for sym in sorted(t.input_alphabet | {tr.symbol for tr in t.transitions}):
+        if len(sym) != 1:
+            report.append(Violation("alphabet", f"input symbol {sym!r} is not one character"))
     seen: dict[tuple[int, str, int], str] = {}
     for tr in t.transitions:
         if tr.src not in t.states:

@@ -75,7 +75,7 @@ def infer(
     tree, prefixes = build_prefix_tree(sample_set)
     order = state_order(prefixes)
     hypothesis = QuotientView(tree)
-    parent = hypothesis.uf.parent  # a state survives while it is its class's representative
+    parent = hypothesis.parent  # a state survives while it is its class's representative
     for _ in range(cfg.max_merge_passes):
         changed = False
         for outer in order:

@@ -60,7 +60,7 @@ def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
     # that one quotient edge is raw_key's, so every raw key into the target
     # stands for it; a self-loop on the target is cut, then prefixed
     writes = dict.fromkeys(view.incoming[dst_cls], out[: -len(suffix)])
-    for member in view.uf.members[dst_cls]:
+    for member in view.members[dst_cls]:
         for s, dst, _ in view.base.arcs_from(member):
             key = (member, s, dst)
             writes[key] = suffix + writes.get(key, view.out(key))
@@ -167,7 +167,7 @@ def commit(session: MergeSession) -> None:
         for (sym, dst, _, _), (sym2, dst2, _, _) in zip(edges, edges[1:]):
             if sym == sym2 and dst == dst2:
                 raise InvariantError(f"unresolved parallel edges at {(cls, sym, dst)}")
-    view.keep()  # after the reads, so their path compression leaves no undo entries
+    view.keep()
 
 
 def try_merge(

@@ -252,10 +252,10 @@ def test_indexed_view_matches_a_fresh_view_under_unions_and_push_backs():
                 for a, b in unions:
                     fresh.union(a, b)
                 fresh.set_outs(view.overlay)
-                for cls in view.uf.classes():
+                for cls in sorted(view.members):
                     assert view.edges_from(cls) == fresh.edges_from(cls)
                     assert view.class_accepting(cls) == any(
-                        q in base.accepting for q in view.uf.members[cls]
+                        q in base.accepting for q in view.members[cls]
                     )
                     assert view.incoming_edges(cls) == _scanned_incoming(view, cls)
     assert pushed >= 20
@@ -311,11 +311,11 @@ def test_cached_edges_match_a_scan_when_read_sparsely():
                     seen["split"] += out != edge[3] and any(
                         k != key and _quotient_edge(view, k) == edge for k in keys)
                     view.set_outs({key: out})
-                classes = view.uf.classes()
+                classes = sorted(view.members)
                 for cls in rng.sample(classes, rng.randrange(len(classes) // 2 + 1)):
                     seen["stale read"] += cls in view._stale
                     assert view.edges_from(cls) == _scanned_edges(view, cls)
-            for cls in view.uf.classes():
+            for cls in sorted(view.members):
                 seen["stale read"] += cls in view._stale
                 assert view.edges_from(cls) == _scanned_edges(view, cls)
     assert seen["stale joined"] >= 40
@@ -325,12 +325,13 @@ def test_cached_edges_match_a_scan_when_read_sparsely():
 
 
 def _every_class(view):
-    classes = view.uf.classes()
+    classes = sorted(view.members)
     return (
+        [view.find(q) for q in sorted(view.base.states)],
         [view.edges_from(cls) for cls in classes],
         [view.incoming_edges(cls) for cls in classes],
         [view.class_accepting(cls) for cls in classes],
-        view.uf.members,
+        view.members,
         view.overlay,
     )
 
@@ -338,8 +339,8 @@ def _every_class(view):
 def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
     # Unions, push-backs and output writes with a random subset of classes
     # read between steps, so a change can meet a stale list; now and then
-    # the view keeps or rolls back.  After a rollback every class reads as in
-    # a view that made only the kept changes.
+    # the view keeps or rolls back.  After a rollback every state and every
+    # class reads as in a view that made only the kept changes.
     rng = random.Random(73)
     seen = Counter()
     for _ in range(80):
@@ -377,7 +378,7 @@ def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
                         fresh.union(a, b)
                     fresh.set_outs(overlay)
                     assert _every_class(view) == _every_class(fresh)
-                classes = view.uf.classes()
+                classes = sorted(view.members)
                 for cls in rng.sample(classes, rng.randrange(len(classes) // 3 + 1)):
                     view.edges_from(cls)
     assert seen["rollbacks"] >= 250

@@ -42,6 +42,20 @@ def test_machine_empty_output_encoded_as_dash():
     assert transduce(machine, "a") == {""}
 
 
+@pytest.mark.parametrize(
+    "machine",
+    [
+        Transducer([0, 1], ["ab"], "x", 0, [1], [(0, "ab", 1, "x")]),
+        Transducer([0, 1], "a", "x", 0, [1], [(0, "", 1, "x")]),
+        Transducer([0, 1], "a", ["xy"], 0, [1], [(0, "a", 1, "xy")]),
+    ],
+    ids=["two-character-input", "empty-input", "two-character-output"],
+)
+def test_machine_symbols_of_other_than_one_character_are_refused(machine):
+    with pytest.raises(FormatError, match="cannot be written"):
+        serialize_machine(machine)
+
+
 def test_parse_machine_rejects_garbage():
     with pytest.raises(FormatError):
         parse_machine("not a machine\n")

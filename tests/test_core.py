@@ -297,9 +297,12 @@ def test_validate_duplicate_triple():
 
 
 def test_validate_alphabet_violation():
-    t = Transducer([0, 1], "a", "x", 0, [1], [(0, "q", 1, "x")])
-    kinds = [v.kind for v in validate(t)]
-    assert "alphabet" in kinds
+    # a symbol outside the alphabet, or an input symbol of other than one
+    # character, which transduce, reading one character a step, never reads
+    for alphabet, symbol in ("a", "q"), (["ab"], "ab"), ("a", ""):
+        t = Transducer([0, 1], alphabet, "x", 0, [1], [(0, symbol, 1, "x")])
+        kinds = [v.kind for v in validate(t)]
+        assert "alphabet" in kinds
 
 
 def test_configuration_agrees_with_transduce_on_random_machines():

@@ -269,17 +269,17 @@ def _partial_informants(seed, per_kind):
 
 
 def _undo_state(view):
-    return view._saved, view._saved_out, view.uf.saved
+    return view._saved, view._saved_out
 
 
 def _facts(view):
-    classes = view.uf.classes()
+    classes = sorted(view.members)
     return (
         view.materialize(),
         [view.edges_from(cls) for cls in classes],
         [set(view.incoming[cls]) for cls in classes],
         [cls for cls in classes if view.class_accepting(cls)],
-        view.uf.members,
+        view.members,
         view.overlay,
     )
 
@@ -302,7 +302,7 @@ def test_a_rejected_attempt_leaves_the_view_as_a_view_that_never_made_it(monkeyp
         tree, prefixes = build_prefix_tree(split_epsilon(samples)[0])
         order = state_order(prefixes)
         view, reference = QuotientView(tree), QuotientView(tree)
-        parent = view.uf.parent
+        parent = view.parent
         for outer in order:
             if parent[outer] != outer or outer == tree.initial:
                 continue
@@ -312,7 +312,7 @@ def test_a_rejected_attempt_leaves_the_view_as_a_view_that_never_made_it(monkeyp
                 if parent[inner] != inner:
                     continue
                 merged = try_merge(view, inner, outer) is not None
-                assert _undo_state(view) == ({}, {}, {})
+                assert _undo_state(view) == ({}, {})
                 if merged:
                     assert try_merge(reference, inner, outer) is not None
                     seen["committed"] += 1
@@ -323,15 +323,17 @@ def test_a_rejected_attempt_leaves_the_view_as_a_view_that_never_made_it(monkeyp
                 seen["after a push-back"] += session.push_backs > 0
                 assert _facts(view) == _facts(reference)
         states = sorted(tree.states)
-        # (n-2, n-1), (n-3, n-2), ...: each union hangs a chain under a new root
+        # (n-2, n-1), (n-3, n-2), ...: each union folds the chain so far into
+        # a new least member, which every state of the chain maps straight to
         chain = list(zip(states[-2:0:-1], states[-1:1:-1]))
-        assert _undo_state(square_reach(tree, chain).view) == ({}, {}, {})
+        assert _undo_state(square_reach(tree, chain).view) == ({}, {})
         view = QuotientView(tree)
         for a, b in chain:
             view.union(a, b)
+        assert view.parent == {q: min(cls) for cls in view.members.values() for q in cls}
         view.keep()
-        find_ambiguity(tree, PairSearchState(view))  # explores, compressing the chain
-        assert _undo_state(view) == ({}, {}, {})
+        find_ambiguity(tree, PairSearchState(view))
+        assert _undo_state(view) == ({}, {})
     assert seen["committed"] >= 400
     assert seen["rejected"] >= 1000
     assert seen["after a cascade"] >= 150
@@ -358,7 +360,7 @@ def test_a_push_back_rebuilds_each_written_class_list_once(monkeypatch):
         view = session.view
         target = view.find(raw_key[2])
         written = {view.find(key[0]) for key in view.incoming[target]}
-        leaving = sum(len(view.base.arcs_from(q)) for q in view.uf.members[target])
+        leaving = sum(len(view.base.arcs_from(q)) for q in view.members[target])
         if leaving:
             written.add(target)
         rebuilds = 0
@@ -432,7 +434,7 @@ def test_a_commit_reads_every_class_whose_edge_list_the_attempt_changed(monkeypa
     seen = Counter()
 
     def edge_lists(view):
-        return {cls: view.edges_from(cls) for cls in view.uf.classes()}
+        return {cls: view.edges_from(cls) for cls in sorted(view.members)}
 
     def opened(view, a, b):
         before.clear()
