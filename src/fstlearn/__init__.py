@@ -12,21 +12,18 @@ from .core import (
     trim,
     validate,
 )
-from .infer import LearnedModel, LearnerConfig, infer, split_epsilon, state_order
-from .ptree import SampleSet, build_prefix_tree, build_star, derivative
+from .infer import LearnedModel, infer, split_epsilon, state_order
+from .ptree import SampleSet, build_prefix_tree
 
 __all__ = [
     "Configuration",
     "LearnedModel",
-    "LearnerConfig",
     "Path",
     "SampleSet",
     "Transducer",
     "Transition",
     "build_prefix_tree",
-    "build_star",
     "configuration_after",
-    "derivative",
     "infer",
     "lcp",
     "split_epsilon",

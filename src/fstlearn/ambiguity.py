@@ -523,16 +523,10 @@ class PairSearchState:
                 return None
 
 
-def square_reach(t: Transducer, aliases=()) -> PairSearchState:
-    """Fully explored pair search over ``t`` after merging each (a, b) pair
-    of states in ``aliases``, in order; its view keeps those unions
-    (``QuotientView.keep``)."""
-    view = QuotientView(t)
-    for a, b in aliases:
-        view.union(a, b)
-    st = PairSearchState(view)
+def square_reach(t: Transducer) -> PairSearchState:
+    """Fully explored pair search over ``t``, on a view with no merges."""
+    st = PairSearchState(QuotientView(t))
     st.explore()
-    view.keep()
     return st
 
 

@@ -28,7 +28,7 @@ from .errors import (
     InconsistencyError,
     ToolkitError,
 )
-from .infer import LearnerConfig, infer
+from .infer import infer
 
 
 def serialize_machine(t: Transducer, epsilon_output: Optional[str] = None) -> str:
@@ -175,8 +175,8 @@ def _echo_attempt(entry: dict) -> None:
 def cmd_learn(args) -> int:
     with open(args.samples, "r", encoding="utf-8") as fh:
         pairs = parse_samples(fh.read())
-    cfg = LearnerConfig(max_merge_passes=args.max_passes)
-    model = infer(pairs, cfg, trace=_echo_attempt if args.trace else None)
+    trace = _echo_attempt if args.trace else None
+    model = infer(pairs, max_merge_passes=args.max_passes, trace=trace)
     text = serialize_machine(model.machine, model.epsilon_output)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)

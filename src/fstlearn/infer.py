@@ -14,15 +14,6 @@ from .ptree import SampleSet, build_prefix_tree
 
 
 @dataclass
-class LearnerConfig:
-    max_merge_passes: int = 1
-
-    def __post_init__(self):
-        if self.max_merge_passes < 1:
-            raise ConfigurationError("max_merge_passes must be at least 1")
-
-
-@dataclass
 class LearnedModel:
     """A learned machine plus the independently learned empty-input output."""
 
@@ -56,7 +47,7 @@ def state_order(prefixes: list[tuple[str, str]]) -> list[int]:
 
 def infer(
     samples: Iterable[tuple[str, str]],
-    cfg: Optional[LearnerConfig] = None,
+    max_merge_passes: int = 1,
     trace: Optional[Callable[[dict], None]] = None,
 ) -> LearnedModel:
     """Learn a transducer consistent with every sample.
@@ -68,15 +59,18 @@ def infer(
     hypothesis is one quotient view of the prefix tree: every attempt runs on
     it and reads only what it changes, and it is materialized once, at the
     end.  An attempt gives up after 200 + 20 × (prefix-tree edges) witnesses.
-    ``trace``, if given, gets one dict per attempt (see ``try_merge``).
+    The outer loop runs at most ``max_merge_passes`` times, and stops after a
+    pass that commits nothing.  ``trace``, if given, gets one dict per attempt
+    (see ``try_merge``).
     """
-    cfg = cfg or LearnerConfig()
+    if max_merge_passes < 1:
+        raise ConfigurationError("max_merge_passes must be at least 1")
     sample_set, eps = split_epsilon(samples)
     tree, prefixes = build_prefix_tree(sample_set)
     order = state_order(prefixes)
     hypothesis = QuotientView(tree)
     parent = hypothesis.parent  # a state survives while it is its class's representative
-    for _ in range(cfg.max_merge_passes):
+    for _ in range(max_merge_passes):
         changed = False
         for outer in order:
             if parent[outer] != outer or outer == tree.initial:

@@ -1,5 +1,5 @@
 """Independent brute-force machinery: bounded equivalence and property
-checks, path enumeration, informant generation, and the enumeration learner.
+checks, path enumeration and informant generation.
 
 Everything here is deliberately naive.  These functions are the yardstick the
 clever constructions are measured against, so they must not share code paths
@@ -15,7 +15,6 @@ from typing import Iterable, Optional
 
 from .core import Path, Transducer, Transition
 from .errors import ToolkitError
-from .ptree import SampleSet
 
 
 @dataclass(frozen=True)
@@ -39,39 +38,49 @@ def words_up_to(alphabet: Iterable[str], max_len: int) -> list[str]:
 
 
 def accepting_paths(t: Transducer, inp: str) -> list[Path]:
-    """Every accepting run over ``inp``, by depth-first enumeration."""
-    results: list[Path] = []
+    """Every accepting run over ``inp``, by depth-first enumeration.
 
-    def walk(state: int, k: int, acc: list[Transition]):
+    The walk keeps its own stack, so the length of ``inp`` is not bounded by
+    the interpreter's recursion limit; arcs are pushed in reverse so that runs
+    come out in the order of ``arcs_from``."""
+    results: list[Path] = []
+    acc: list[Transition] = []
+    stack: list[tuple[int, Transition]] = []
+    state, k = t.initial, 0
+    while True:
         if k == len(inp):
             if state in t.accepting:
                 results.append(Path(tuple(acc)))
-            return
-        for sym, dst, out in t.arcs_from(state, inp[k]):
-            acc.append(Transition(state, sym, dst, out))
-            walk(dst, k + 1, acc)
-            acc.pop()
-
-    walk(t.initial, 0, [])
-    return results
+        else:
+            for sym, dst, out in reversed(t.arcs_from(state, inp[k])):
+                stack.append((k, Transition(state, sym, dst, out)))
+        if not stack:
+            return results
+        k, arc = stack.pop()
+        del acc[k:]
+        acc.append(arc)
+        state, k = arc.dst, k + 1
 
 
 def all_paths(t: Transducer, max_len: int) -> list[Path]:
-    """Every run from the initial state with at most ``max_len`` transitions."""
+    """Every run from the initial state with at most ``max_len`` transitions,
+    in depth-first order, walked with an explicit stack as in
+    ``accepting_paths``."""
     results: list[Path] = []
-
-    def walk(state: int, depth: int, acc: list[Transition]):
-        if acc:
-            results.append(Path(tuple(acc)))
-        if depth == max_len:
-            return
-        for sym, dst, out in t.arcs_from(state):
-            acc.append(Transition(state, sym, dst, out))
-            walk(dst, depth + 1, acc)
-            acc.pop()
-
-    walk(t.initial, 0, [])
-    return results
+    acc: list[Transition] = []
+    stack: list[tuple[int, Transition]] = []
+    state, depth = t.initial, 0
+    while True:
+        if depth < max_len:
+            for sym, dst, out in reversed(t.arcs_from(state)):
+                stack.append((depth, Transition(state, sym, dst, out)))
+        if not stack:
+            return results
+        depth, arc = stack.pop()
+        del acc[depth:]
+        acc.append(arc)
+        results.append(Path(tuple(acc)))
+        state, depth = arc.dst, depth + 1
 
 
 def path_outputs(t: Transducer, inp: str) -> frozenset:
@@ -122,14 +131,14 @@ def check_local_prefix_preservation_up_to(
     """For any two runs from the initial state whose inputs and outputs are
     both prefix-comparable, the shorter must be a prefix of the longer."""
     paths = all_paths(t, max_len)
-    by_input: dict[str, list[Path]] = {}
-    for p in paths:
-        by_input.setdefault(p.input_word, []).append(p)
+    by_input: dict[str, list[tuple[Path, str]]] = {}
+    for p in paths:  # each output word is joined once, not once per comparison
+        by_input.setdefault(p.input_word, []).append((p, p.output_word))
     for p2 in paths:
-        word = p2.input_word
+        word, out2 = p2.input_word, p2.output_word
         for k in range(len(word) + 1):
-            for p1 in by_input.get(word[:k], ()):
-                if not p2.output_word.startswith(p1.output_word):
+            for p1, out1 in by_input.get(word[:k], ()):
+                if not out2.startswith(out1):
                     continue
                 if p2.transitions[: len(p1.transitions)] != p1.transitions:
                     return BoundedCheckReport(
@@ -154,155 +163,3 @@ def generate_informant(t: Transducer, max_len: int) -> list[tuple[str, str]]:
         if outs:
             out.append((word, next(iter(outs))))
     return out
-
-
-# -- enumeration learner ----------------------------------------------------
-
-
-def _solve_outputs(equations, var_order, max_total):
-    """Assign strings to variables so that each concatenation equation
-    var_1 ... var_k = constant holds.  Deterministic depth-first search over
-    split points, shortest assignments first."""
-    assignment: dict = {}
-
-    def propagate(todo):
-        # returns simplified list of (vars, const) or None on contradiction
-        out = []
-        for vars_, const in todo:
-            rest = const
-            pending = []
-            for v in vars_:
-                if v in assignment:
-                    val = assignment[v]
-                    if not rest.startswith(val) and not pending:
-                        return None
-                    if pending:
-                        pending.append(v)
-                    else:
-                        rest = rest[len(val):]
-                else:
-                    pending.append(v)
-            # strip assigned suffix variables
-            while pending and pending[-1] in assignment:
-                val = assignment[pending[-1]]
-                if not rest.endswith(val):
-                    return None
-                rest = rest[: len(rest) - len(val)]
-                pending.pop()
-            if not pending:
-                if rest != "":
-                    return None
-                continue
-            out.append((tuple(pending), rest))
-        return out
-
-    def search(todo):
-        todo = propagate(todo)
-        if todo is None:
-            return False
-        todo = [eq for eq in todo if eq[0]]
-        if not todo:
-            return True
-        vars_, const = todo[0]
-        v = vars_[0]
-        tail = vars_[1:]
-        for cut in range(len(const) + 1):
-            assignment[v] = const[:cut]
-            rest_eq = [(tail, const[cut:])] if tail else (
-                [] if cut == len(const) else None
-            )
-            if rest_eq is None:
-                del assignment[v]
-                continue
-            if search(rest_eq + todo[1:]):
-                return True
-            del assignment[v]
-        return False
-
-    if not search(list(equations)):
-        return None
-    for v in var_order:
-        assignment.setdefault(v, "")
-    return assignment
-
-
-def enumerate_minimal_consistent(
-    s: SampleSet, max_states: int
-) -> Optional[Transducer]:
-    """Smallest transducer consistent with every pair of ``s``, by exhaustive
-    enumeration of machine structures with outputs solved per structure.
-
-    Structures are visited states-ascending, then by transition-set mask,
-    then by accepting-set mask; the first machine whose every accepting run
-    over a sampled input can be made to yield the sampled output is returned.
-    """
-    sigma = s.input_alphabet() or ("a",)
-    pairs = s.pairs()
-    for n in range(1, max_states + 1):
-        triples = [
-            (src, sym, dst)
-            for src in range(n)
-            for sym in sigma
-            for dst in range(n)
-        ]
-        for mask in range(1 << len(triples)):
-            chosen = [triples[i] for i in range(len(triples)) if mask >> i & 1]
-            step: dict[tuple[int, str], list[tuple[int, int]]] = {}
-            for idx, (src, sym, dst) in enumerate(chosen):
-                step.setdefault((src, sym), []).append((dst, idx))
-            for acc_mask in range(1 << n):
-                accepting = {q for q in range(n) if acc_mask >> q & 1}
-                machine = _solve_structure(chosen, step, accepting, pairs, s, sigma, n)
-                if machine is not None:
-                    return machine
-    return None
-
-
-def _solve_structure(chosen, step, accepting, pairs, s, sigma, n):
-    equations = []
-    for inp, out in pairs:
-        runs = _structure_runs(step, accepting, inp, n)
-        if not runs:
-            return None
-        for run in runs:
-            equations.append((tuple(run), out))
-    solution = _solve_outputs(equations, list(range(len(chosen))), None)
-    if solution is None:
-        return None
-    gamma = set(s.output_alphabet())
-    for val in solution.values():
-        gamma.update(val)
-    machine = Transducer(
-        range(n),
-        sigma,
-        sorted(gamma),
-        0,
-        accepting,
-        [
-            (src, sym, dst, solution[idx])
-            for idx, (src, sym, dst) in enumerate(chosen)
-        ],
-    )
-    # the solver covered accepting runs; re-check end to end
-    for inp, out in pairs:
-        if path_outputs(machine, inp) != frozenset([out]):
-            return None
-    return machine
-
-
-def _structure_runs(step, accepting, inp, n):
-    """All accepting runs over ``inp`` as sequences of transition indices."""
-    runs = []
-
-    def walk(state, k, acc):
-        if k == len(inp):
-            if state in accepting:
-                runs.append(list(acc))
-            return
-        for dst, idx in step.get((state, inp[k]), ()):
-            acc.append(idx)
-            walk(dst, k + 1, acc)
-            acc.pop()
-
-    walk(0, 0, [])
-    return runs

@@ -7,8 +7,7 @@ else.  One pass over a residual buckets its pairs by first input symbol and
 splits each bucket into branches: the exact single-symbol pair's branch,
 which every pair whose output extends it rides, one branch per first output
 symbol carrying the longest common prefix of its outputs, and a bare branch
-for the rest, whose outputs are empty.  A naive "star" builder is kept
-alongside as an independent baseline.
+for the rest, whose outputs are empty.
 """
 
 from __future__ import annotations
@@ -24,15 +23,14 @@ class SampleSet:
     """A finite functional relation from input strings to output strings.
 
     Insertion of an input with a conflicting output raises; re-inserting an
-    identical pair is a no-op.  Loading paths reject an empty input paired
-    with a non-empty output (that datum lives on the learner's side channel),
-    but residual sets produced by ``derivative`` may carry such pairs.
+    identical pair is a no-op.  An empty input paired with a non-empty output
+    is rejected: that datum lives on the learner's side channel.
     """
 
     __slots__ = ("_pairs",)
 
-    def __init__(self, pairs: Optional[Iterable[tuple[str, str]]] = None, _raw=None):
-        self._pairs: dict[str, str] = dict(_raw) if _raw is not None else {}
+    def __init__(self, pairs: Optional[Iterable[tuple[str, str]]] = None):
+        self._pairs: dict[str, str] = {}
         if pairs is not None:
             for inp, out in pairs:
                 self.insert(inp, out)
@@ -75,16 +73,6 @@ class SampleSet:
 
     def output_alphabet(self) -> tuple[str, ...]:
         return tuple(sorted({ch for w in self._pairs.values() for ch in w}))
-
-
-def derivative(s: SampleSet, sigma: str, gamma: str) -> SampleSet:
-    """Residual relation after consuming input symbol ``sigma`` and output
-    prefix ``gamma``: {(i', o') : (sigma i', gamma o') in s}."""
-    rest = {}
-    for inp, out in s._pairs.items():
-        if inp.startswith(sigma) and inp != "" and out.startswith(gamma):
-            rest[inp[len(sigma):]] = out[len(gamma):]
-    return SampleSet(_raw=rest)
 
 
 def build_prefix_tree(s: SampleSet) -> tuple[Transducer, list[tuple[str, str]]]:
@@ -148,24 +136,3 @@ def build_prefix_tree(s: SampleSet) -> tuple[Transducer, list[tuple[str, str]]]:
         range(len(prefixes)), sigma, gamma, 0, accepting, transitions
     )
     return tree, prefixes
-
-
-def build_star(s: SampleSet) -> Transducer:
-    """One arm per sample pair, full output on the first transition."""
-    sigma = s.input_alphabet()
-    gamma = s.output_alphabet()
-    accepting: set[int] = set()
-    transitions: list[tuple[int, str, int, str]] = []
-    next_state = 1
-    for inp, out in s.pairs():
-        if inp == "":
-            accepting.add(0)
-            continue
-        src = 0
-        for k, sym in enumerate(inp):
-            dst = next_state
-            next_state += 1
-            transitions.append((src, sym, dst, out if k == 0 else ""))
-            src = dst
-        accepting.add(src)
-    return Transducer(range(next_state), sigma, gamma, 0, accepting, transitions)

@@ -14,12 +14,11 @@ from fstlearn.oracle import (
     accepting_paths,
     check_functional_up_to,
     check_local_prefix_preservation_up_to,
-    enumerate_minimal_consistent,
     equivalent_up_to,
     generate_informant,
     words_up_to,
 )
-from fstlearn.ptree import SampleSet, build_prefix_tree, build_star
+from fstlearn.ptree import SampleSet, build_prefix_tree
 
 from machines import (
     BATTERY,
@@ -28,6 +27,7 @@ from machines import (
     random_machine,
     random_mostly_deterministic,
 )
+from reference import build_star, enumerate_minimal_consistent, square_reach_after
 from test_infer import commit_snapshots
 from test_ptree import assert_ab_property
 
@@ -137,7 +137,7 @@ def test_criterion_5_incremental_squaring():
             merges.append((a, b))
             incremental.merge_update(a, b)
             incremental.explore()
-            scratch = square_reach(t, aliases=list(merges))
+            scratch = square_reach_after(t, merges)
             find = incremental.view.find
             canon_inc = {
                 (min(find(x), find(y)), max(find(x), find(y)))

@@ -20,6 +20,7 @@ from fstlearn.oracle import accepting_paths, words_up_to
 from fstlearn.ptree import SampleSet, build_prefix_tree
 
 from machines import random_machine
+from reference import square_reach_after
 
 
 def test_deterministic_chain_reaches_only_diagonal():
@@ -52,7 +53,7 @@ def test_aliases_let_pairs_jump():
             (2, "c", 4, "w"),
         ],
     ))
-    st = square_reach(t, aliases=[(1, 2)])
+    st = square_reach_after(t, [(1, 2)])
     assert (3, 4) in st.reached
 
 
@@ -172,7 +173,7 @@ def test_merge_update_of_untouched_states_changes_nothing(monkeypatch):
     assert (list(st.reached.items()), st.events, st._marks, st._paused) == before
     st.explore()
     assert len(expanded) == len(set(expanded)) == len(st.reached)
-    assert list(st.reached.items()) == list(square_reach(t, aliases=[(4, 5)]).reached.items())
+    assert list(st.reached.items()) == list(square_reach_after(t, [(4, 5)]).reached.items())
 
 
 def _canonical_reached(st):
@@ -194,7 +195,7 @@ def test_incremental_equals_from_scratch_on_random_machines():
             merges.append((a, b))
             incremental.merge_update(a, b)
             incremental.explore()
-            scratch = square_reach(t, aliases=list(merges))
+            scratch = square_reach_after(t, merges)
             assert _canonical_reached(incremental) == _canonical_reached(scratch)
 
 
@@ -521,7 +522,7 @@ def test_first_witness_mapped_through_the_view_is_find_ambiguitys():
         states = sorted(t.states)
         aliases = [tuple(rng.sample(states, 2)) for _ in range(rng.randint(0, 2))
                    if len(states) > 1]
-        st = square_reach(t, aliases)
+        st = square_reach_after(t, aliases)
         expected = find_ambiguity(t, st)
         witness = st.next_witness()
         if expected is None:

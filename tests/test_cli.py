@@ -15,7 +15,9 @@ from fstlearn.cli import (
 from fstlearn.core import Transducer, transduce
 from fstlearn.errors import ConflictError, FormatError
 from fstlearn.infer import infer
-from fstlearn.oracle import equivalent_up_to
+from fstlearn.oracle import equivalent_up_to, generate_informant
+
+from machines import PARITY_HASH
 
 LOOP = Transducer([0], "a", "x", 0, [0], [(0, "a", 0, "x")])
 
@@ -139,6 +141,18 @@ def test_cmd_learn_trace(tmp_path, capsys):
         a, b = entry["pair"]
         outcome = "committed" if entry["kind"] == "merge_committed" else "rejected"
         assert line.startswith(f"merge {a}+{b}: {outcome} (")
+
+
+def test_cmd_learn_max_passes_reaches_the_learner(tmp_path):
+    # one merge pass leaves 4 states on this informant; a second merges to 3
+    samples = tmp_path / "samples.tsv"
+    write(samples, serialize_samples(generate_informant(PARITY_HASH, 6)))
+    sizes = {}
+    for passes in ([], ["--max-passes", "2"]):
+        out = tmp_path / "machine.fst"
+        assert main(["learn", str(samples), str(out)] + passes) == 0
+        sizes[len(passes)] = len(parse_machine(out.read_text())[0].states)
+    assert sizes == {0: 4, 2: 3}
 
 
 def test_cmd_eval_outputs(tmp_path, capsys):
@@ -418,3 +432,18 @@ def test_cmd_rejects_out_of_range_bounds(argv, capsys):
 def test_parse_machine_bare_record(record):
     with pytest.raises(FormatError, match=f"line 3: bad {record}"):
         parse_machine(f"fst a x 0\nstate 0 accept\n{record}\n")
+
+
+def test_brute_force_checks_take_words_longer_than_the_recursion_limit(tmp_path, capsys):
+    # the oracle's path walks keep their own stack: one run of 1,200 arcs is
+    # no deeper for them than one of 12
+    machine = tmp_path / "m.fst"
+    samples = tmp_path / "s.tsv"
+    write(machine, serialize_machine(LOOP))
+    argv = ["check", str(machine), "--functional", "--lpp", "--max-len", "1200"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("pass (bound 1200)") == 2
+    assert main(["gen-informant", str(machine), str(samples), "--max-len", "1200"]) == 0
+    pairs = parse_samples(samples.read_text())
+    assert len(pairs) == 1201
+    assert pairs[-1] == ("a" * 1200, "x" * 1200)

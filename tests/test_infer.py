@@ -8,9 +8,9 @@ import pytest
 
 from fstlearn import ambiguity
 from fstlearn.cli import _echo_attempt, serialize_machine
-from fstlearn.core import Transducer, transduce
+from fstlearn.core import Transducer, transduce, trim
 from fstlearn.errors import ConfigurationError, ConflictError, ToolkitError
-from fstlearn.infer import LearnerConfig, infer, split_epsilon, state_order
+from fstlearn.infer import infer, split_epsilon, state_order
 from fstlearn.oracle import equivalent_up_to, generate_informant
 from fstlearn.ptree import SampleSet, build_prefix_tree
 
@@ -119,7 +119,6 @@ def test_infer_monotone_state_count(monkeypatch):
     trace = []
     infer(
         [("a", "x"), ("aa", "xx"), ("aaa", "xxx")],
-        LearnerConfig(),
         trace=trace.append,
     )
     sizes = [(len(before.states), len(after.states)) for before, after in commits]
@@ -186,13 +185,13 @@ def test_infer_random_conforming_sample_sets_stay_consistent():
 def test_learner_config_validation():
     # a ToolkitError, so callers that catch the toolkit's errors see it
     with pytest.raises(ConfigurationError):
-        LearnerConfig(max_merge_passes=0)
+        infer([("a", "x")], max_merge_passes=0)
 
 
 def test_second_merge_pass_reaches_the_minimal_parity_machine():
     # one pass leaves 4 states here; the second pass merges down to 3
     informant = generate_informant(PARITY_HASH, 6)
-    model = infer(informant, LearnerConfig(max_merge_passes=2))
+    model = infer(informant, max_merge_passes=2)
     assert len(model.machine.states) == 3
     assert equivalent_up_to(PARITY_HASH, model.machine, 8).verdict
 
@@ -223,6 +222,9 @@ def test_learns_from_partial_informants_of_nondeterministic_targets_are_pinned()
                         assert model.epsilon_output == out
                     else:
                         assert transduce(model.machine, inp) == {out}
+                # a quotient of the trim prefix tree is trim, and push-backs
+                # change only outputs: the trim in infer never cuts
+                assert trim(model.machine) is model.machine
                 digest.update(serialize_machine(model.machine, model.epsilon_output).encode())
                 learned += 1
             drawn += 1

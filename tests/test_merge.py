@@ -326,7 +326,7 @@ def test_a_rejected_attempt_leaves_the_view_as_a_view_that_never_made_it(monkeyp
         # (n-2, n-1), (n-3, n-2), ...: each union folds the chain so far into
         # a new least member, which every state of the chain maps straight to
         chain = list(zip(states[-2:0:-1], states[-1:1:-1]))
-        assert _undo_state(square_reach(tree, chain).view) == ({}, {})
+        assert _undo_state(square_reach(tree).view) == ({}, {})
         view = QuotientView(tree)
         for a, b in chain:
             view.union(a, b)

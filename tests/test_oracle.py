@@ -1,4 +1,5 @@
-"""Brute-force machinery: bounded checks, informants, enumeration learner."""
+"""Brute-force machinery: bounded checks and informants, and the enumeration
+learner of ``reference``."""
 
 import random
 
@@ -9,7 +10,6 @@ from fstlearn.errors import ToolkitError
 from fstlearn.oracle import (
     check_functional_up_to,
     check_local_prefix_preservation_up_to,
-    enumerate_minimal_consistent,
     equivalent_up_to,
     generate_informant,
     path_outputs,
@@ -18,6 +18,7 @@ from fstlearn.oracle import (
 from fstlearn.ptree import SampleSet
 
 from machines import random_machine
+from reference import enumerate_minimal_consistent
 
 
 def test_enumeration_single_pair():

