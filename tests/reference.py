@@ -70,7 +70,7 @@ def square_reach_after(t: Transducer, unions: Iterable[tuple[int, int]]) -> Pair
 # -- enumeration learner ----------------------------------------------------
 
 
-def _solve_outputs(equations, var_order, max_total):
+def _solve_outputs(equations, var_order):
     """Assign strings to variables so that each concatenation equation
     var_1 ... var_k = constant holds.  Deterministic depth-first search over
     split points, shortest assignments first."""
@@ -172,12 +172,12 @@ def enumerate_minimal_consistent(
 def _solve_structure(chosen, step, accepting, pairs, s, sigma, n):
     equations = []
     for inp, out in pairs:
-        runs = _structure_runs(step, accepting, inp, n)
+        runs = _structure_runs(step, accepting, inp)
         if not runs:
             return None
         for run in runs:
             equations.append((tuple(run), out))
-    solution = _solve_outputs(equations, list(range(len(chosen))), None)
+    solution = _solve_outputs(equations, list(range(len(chosen))))
     if solution is None:
         return None
     gamma = set(s.output_alphabet())
@@ -201,7 +201,7 @@ def _solve_structure(chosen, step, accepting, pairs, s, sigma, n):
     return machine
 
 
-def _structure_runs(step, accepting, inp, n):
+def _structure_runs(step, accepting, inp):
     """All accepting runs over ``inp`` as sequences of transition indices."""
     runs = []
 
