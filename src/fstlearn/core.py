@@ -3,7 +3,9 @@
 A transducer here is a finite-state machine whose transitions each carry one
 input symbol and an output string.  The same value type is used for learned
 hypotheses, hand-built targets, and prefix trees.  Values are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads; the one field filled later,
+the adjacency built on the first walk, is a cache that every thread would
+fill alike.
 
 Evaluation (``configuration_after``, ``transduce``) folds the input through a
 normalised configuration: the output prefix that every live run shares is
@@ -68,6 +70,13 @@ class Transducer:
     not enforced on construction so that malformed machines can be reported).
     Construction canonicalises the records it is given: duplicates collapse,
     and their order and type (tuple, list or ``Transition``) do not matter.
+
+    The adjacency that ``arcs_from``, ``configuration_after`` and the subset
+    walk of ``transform`` read is built on the first such walk, not on
+    construction: most machines the closures and ``infer`` build are never
+    walked.  It is written once through ``object.__setattr__``, like the
+    fields, and only ever read after; a race builds it twice, equal both
+    times, so a value stays safe to share between threads.
     """
 
     __slots__ = (
@@ -96,10 +105,7 @@ class Transducer:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", frozenset(accepting))
         object.__setattr__(self, "transitions", records)
-        adj: dict[int, dict[str, list[tuple[int, str]]]] = {}
-        for src, sym, dst, out in records:
-            adj.setdefault(src, {}).setdefault(sym, []).append((dst, out))
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_adj", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Transducer is immutable")
@@ -126,19 +132,24 @@ class Transducer:
             f"accepting={sorted(self.accepting)})"
         )
 
-    def arcs_from(self, state: int, symbol: Optional[str] = None):
-        """Outgoing (symbol, dst, out) triples of a state, sorted.
+    def _adjacency(self) -> dict[int, dict[str, list[tuple[int, str]]]]:
+        """The (dst, out) pairs of each state and symbol, built on the first
+        call from the sorted ``transitions``, so each state's symbols are
+        inserted, and iterated, in sorted order; never changed once stored."""
+        adj = self._adj
+        if adj is None:
+            adj = {}
+            for src, sym, dst, out in self.transitions:
+                adj.setdefault(src, {}).setdefault(sym, []).append((dst, out))
+            object.__setattr__(self, "_adj", adj)
+        return adj
 
-        ``_adj`` is filled from the sorted ``transitions``, so each state's
-        symbols are inserted, and iterated, in sorted order."""
-        by_sym = self._adj.get(state, {})
+    def arcs_from(self, state: int, symbol: Optional[str] = None):
+        """Outgoing (symbol, dst, out) triples of a state, sorted."""
+        by_sym = (self._adj or self._adjacency()).get(state, {})
         if symbol is not None:
             return [(symbol, d, o) for d, o in by_sym.get(symbol, [])]
-        out = []
-        for sym, arcs in by_sym.items():
-            for d, o in arcs:
-                out.append((sym, d, o))
-        return out
+        return [(sym, d, o) for sym, arcs in by_sym.items() for d, o in arcs]
 
 
 Configuration = frozenset  # of (state, pending output) pairs
@@ -185,7 +196,7 @@ def configuration_after(t: Transducer, inp: str) -> Configuration:
     if not t.input_alphabet.issuperset(inp):
         bad = next(sym for sym in inp if sym not in t.input_alphabet)
         raise AlphabetError(f"symbol {bad!r} not in input alphabet")
-    adj = t._adj
+    adj = t._adjacency()
     emitted = []
     conf = frozenset({(t.initial, "")})
     memo: dict = {}

@@ -129,24 +129,30 @@ def check_local_prefix_preservation_up_to(
     t: Transducer, max_len: int
 ) -> BoundedCheckReport:
     """For any two runs from the initial state whose inputs and outputs are
-    both prefix-comparable, the shorter must be a prefix of the longer."""
-    paths = all_paths(t, max_len)
+    both prefix-comparable, the shorter must be a prefix of the longer.
+
+    ``all_paths`` lists every run after its prefixes, depth first, so the
+    runs on the branch at hand are the prefixes of the last one; with one
+    input character per transition, as ``validate`` demands, the runs whose
+    input is a prefix of p2's are those sharing the input word of one of
+    p2's prefixes.  Each run keeps the list of the runs that read its word,
+    so no input word is sliced or hashed again, and p2's own prefix, which
+    can break nothing, is passed over before any output is compared."""
     by_input: dict[str, list[tuple[Path, str]]] = {}
-    for p in paths:  # each output word is joined once, not once per comparison
-        by_input.setdefault(p.input_word, []).append((p, p.output_word))
-    for p2 in paths:
-        word, out2 = p2.input_word, p2.output_word
-        for k in range(len(word) + 1):
-            for p1, out1 in by_input.get(word[:k], ()):
-                if not out2.startswith(out1):
-                    continue
-                if p2.transitions[: len(p1.transitions)] != p1.transitions:
+    entries = []
+    for p in all_paths(t, max_len):  # each output word is joined once, not once per comparison
+        runs = by_input.setdefault(p.input_word, [])
+        runs.append((p, p.output_word))
+        entries.append((p, runs[-1][1], runs))
+    branch: list[tuple[Path, list]] = []  # p2 and its prefixes, shortest first
+    for p2, out2, runs in entries:
+        del branch[len(p2.transitions) - 1:]
+        branch.append((p2, runs))
+        for prefix, same_input in branch:
+            for p1, out1 in same_input:
+                if p1 is not prefix and out2.startswith(out1):
                     return BoundedCheckReport(
-                        "locally_prefix_preserving",
-                        max_len,
-                        False,
-                        (p1, p2),
-                    )
+                        "locally_prefix_preserving", max_len, False, (p1, p2))
     return BoundedCheckReport("locally_prefix_preserving", max_len, True)
 
 

@@ -2,15 +2,16 @@
 
 Like ``fstlearn.oracle``, these are deliberately naive and share no code path
 with the learner: the pair derivative of a sample set, the star machine with
-one arm per sample pair, the pair search after a list of unions, and a learner
-that enumerates every machine structure and solves its outputs.
+one arm per sample pair, the pair search after a list of unions, a learner
+that enumerates every machine structure and solves its outputs, and the first
+bounded LPP check, against which the oracle's faster one is cross-checked.
 """
 
 from typing import Iterable, Optional
 
 from fstlearn.ambiguity import PairSearchState, QuotientView
-from fstlearn.core import Transducer
-from fstlearn.oracle import path_outputs
+from fstlearn.core import Path, Transducer
+from fstlearn.oracle import BoundedCheckReport, all_paths, path_outputs
 from fstlearn.ptree import SampleSet
 
 
@@ -217,3 +218,30 @@ def _structure_runs(step, accepting, inp):
 
     walk(0, 0, [])
     return runs
+
+
+def local_prefix_preservation_up_to(
+    t: Transducer, max_len: int
+) -> BoundedCheckReport:
+    """``oracle.check_local_prefix_preservation_up_to`` as it first stood:
+    for every run p2, every input prefix of p2 is sliced and looked up, and
+    the transitions of every run p1 found there whose output p2's extends are
+    compared with p2's own; cubic in the bound on a one-state loop."""
+    paths = all_paths(t, max_len)
+    by_input: dict[str, list[tuple[Path, str]]] = {}
+    for p in paths:  # each output word is joined once, not once per comparison
+        by_input.setdefault(p.input_word, []).append((p, p.output_word))
+    for p2 in paths:
+        word, out2 = p2.input_word, p2.output_word
+        for k in range(len(word) + 1):
+            for p1, out1 in by_input.get(word[:k], ()):
+                if not out2.startswith(out1):
+                    continue
+                if p2.transitions[: len(p1.transitions)] != p1.transitions:
+                    return BoundedCheckReport(
+                        "locally_prefix_preserving",
+                        max_len,
+                        False,
+                        (p1, p2),
+                    )
+    return BoundedCheckReport("locally_prefix_preserving", max_len, True)

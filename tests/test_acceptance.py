@@ -8,7 +8,7 @@ import random
 import time
 
 from fstlearn.ambiguity import find_ambiguity, square_reach
-from fstlearn.core import Transducer, transduce, trim
+from fstlearn.core import transduce, trim
 from fstlearn.infer import infer
 from fstlearn.oracle import (
     accepting_paths,

@@ -2,6 +2,8 @@
 
 import os
 import random
+import sys
+import threading
 import tracemalloc
 from collections import deque
 
@@ -16,11 +18,10 @@ from fstlearn.core import (
     trim,
     validate,
 )
-from fstlearn import ambiguity
+from fstlearn import ambiguity, transform
 from fstlearn.errors import AlphabetError
 from fstlearn.infer import infer
-from fstlearn.oracle import accepting_paths, generate_informant, path_outputs, words_up_to
-from fstlearn.transform import disambiguate, totalize
+from fstlearn.oracle import generate_informant, path_outputs, words_up_to
 
 from machines import (
     BATTERY,
@@ -120,6 +121,37 @@ def test_construction_canonicalises_its_transition_records():
     for bad in [(0, "a", 1), (0, "a", 1, "x", "y"), ()]:
         with pytest.raises(TypeError):
             Transducer([0, 1], "a", "x", 0, [1], [(0, "a", 1, "x"), bad])
+
+
+def test_threads_racing_to_the_first_walk_read_every_arc():
+    """The adjacency is built on a machine's first walk; threads that walk
+    fresh machines at once each read every arc, whichever of them stores it."""
+    rng = random.Random(29)
+    machines = [random_machine(rng, max_states=8) for _ in range(200)]
+    want = [[t.arcs_from(q) for q in sorted(t.states)] for t in machines]
+    fresh = [Transducer(t.states, t.input_alphabet, t.output_alphabet, t.initial,
+                        t.accepting, t.transitions) for t in machines]
+    threads = 4  # more than the cores of a small host
+    barrier = threading.Barrier(threads)
+    got: list[list] = [[] for _ in range(threads)]
+
+    def walk(k):
+        barrier.wait(timeout=10)
+        for t in fresh:
+            got[k].append([t.arcs_from(q) for q in sorted(t.states)])
+
+    workers = [threading.Thread(target=walk, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [want] * threads
 
 
 def test_trim_drops_unreachable():
@@ -247,21 +279,32 @@ def test_trim_matches_the_reference_on_random_machines():
 
 
 def test_each_call_builds_each_machine_once(monkeypatch):
-    """``disambiguate`` builds its result alone, ``totalize`` the complement
-    and its result, and ``infer`` the prefix tree, the materialized
-    hypothesis, which is already trim, and the renumbered model."""
-    built = 0
+    """``disambiguate``, ``totalize`` and ``complement_dfa`` each build their
+    result alone, from one subset walk, and never walk what they built, so
+    its adjacency stays unbuilt; ``infer`` builds the prefix tree, the
+    materialized hypothesis, which is already trim, and the renumbered
+    model."""
+    built = walks = 0
     init = Transducer.__init__
+    subsets = transform._subsets
 
     def counted_init(self, *args):
         nonlocal built
         built += 1
         init(self, *args)
 
+    def counted_subsets(t):
+        nonlocal walks
+        walks += 1
+        return subsets(t)
+
     def builds(call, *args):
-        nonlocal built
-        built = 0
-        call(*args)
+        nonlocal built, walks
+        built = walks = 0
+        out = call(*args)
+        if call is not infer:
+            assert walks == 1
+            assert out._adj is None
         return built
 
     materialized = []
@@ -276,10 +319,12 @@ def test_each_call_builds_each_machine_once(monkeypatch):
     machines += [t for t in (raw_machine(rng) for _ in range(60)) if not validate(t)]
     informants = [generate_informant(t, 5) for _, t, _ in BATTERY]
     monkeypatch.setattr(Transducer, "__init__", counted_init)
+    monkeypatch.setattr(transform, "_subsets", counted_subsets)
     monkeypatch.setattr(ambiguity.QuotientView, "materialize", kept_materialize)
     for t in machines:
-        assert builds(disambiguate, t) == 1
-        assert builds(totalize, t, "%" if "#" in t.output_alphabet else "#") == 2
+        assert builds(transform.disambiguate, t) == 1
+        assert builds(transform.totalize, t, "%" if "#" in t.output_alphabet else "#") == 1
+        assert builds(transform.complement_dfa, t) == 1
     for informant in informants:
         assert builds(infer, informant) == 3
         assert trim(materialized[-1]) is materialized[-1]

@@ -12,7 +12,6 @@ from fstlearn.errors import InvariantError, ToolkitError
 from fstlearn.infer import infer, split_epsilon, state_order
 from fstlearn.merge import (
     OUTPUT_CONFLICT,
-    PUSHBACK_BLOCKED,
     ROOT_ASYMMETRY,
     SESSION_CAP,
     commit,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fstlearn.core import Transducer, transduce, trim
+from fstlearn.core import Transducer, trim
 from fstlearn.errors import ToolkitError
 from fstlearn.oracle import (
     check_functional_up_to,
@@ -13,12 +13,11 @@ from fstlearn.oracle import (
     equivalent_up_to,
     generate_informant,
     path_outputs,
-    words_up_to,
 )
 from fstlearn.ptree import SampleSet
 
-from machines import random_machine
-from reference import enumerate_minimal_consistent
+from machines import random_deterministic_total, random_machine, random_mostly_deterministic
+from reference import enumerate_minimal_consistent, local_prefix_preservation_up_to
 
 
 def test_enumeration_single_pair():
@@ -109,9 +108,23 @@ def test_lpp_empty_prefix_violation():
     assert not report.verdict
 
 
+def test_lpp_check_agrees_with_the_reference_check():
+    # same verdict and same counterexample as the check it replaced, on
+    # machines that break LPP at various depths and on machines that keep it
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for i in range(300):
+        make = (random_machine, random_mostly_deterministic, random_deterministic_total)[i % 3]
+        t = make(rng)
+        bound = rng.randint(1, 5)
+        report = check_local_prefix_preservation_up_to(t, bound)
+        assert report == local_prefix_preservation_up_to(t, bound), (t, bound)
+        verdicts[report.verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
 def test_lpp_holds_on_prefix_trees():
     from fstlearn.ptree import build_prefix_tree
-    from machines import random_deterministic_total
 
     rng = random.Random(71)
     for _ in range(15):
