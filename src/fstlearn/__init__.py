@@ -13,13 +13,12 @@ from .core import (
     validate,
 )
 from .infer import LearnedModel, infer, split_epsilon, state_order
-from .ptree import SampleSet, build_prefix_tree
+from .ptree import build_prefix_tree
 
 __all__ = [
     "Configuration",
     "LearnedModel",
     "Path",
-    "SampleSet",
     "Transducer",
     "Transition",
     "build_prefix_tree",

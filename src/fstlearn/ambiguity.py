@@ -25,8 +25,13 @@ The search is breadth-first and runs on the fly (Allauzen & Mohri,
 "Efficient algorithms for testing the twins property", 2003): pairs are
 expanded in the order they were discovered, and an expansion pauses after each
 step that appends an event, so a caller that wants one witness pays only for
-the steps before it.  A union keeps the part of the search that a search
-restarted from the root pair would repeat exactly, and cuts the rest.
+the steps before it.  The pause matters because a merge attempt mostly wants
+the next witness, not the whole search: running each expansion to its end
+learns the same machines, but on the benchmark's ``learn_ladder`` workload
+(2-CPU host, Python 3.11) it raised the median operation time from 14.3 to
+30.1 ms and the work time from 0.25 to 0.42 s.  A union keeps the part of the
+search that a search restarted from the root pair would repeat exactly, and
+cuts the rest.
 
 Why the kept part is exact.  An expansion reads the edges of its pair's two
 classes (symbol, destination class and representative raw key, never the
@@ -83,13 +88,14 @@ RawKey = tuple  # (src, symbol, dst) of the underlying machine
 
 
 class QuotientView:
-    """The machine seen through an alias map plus an output overlay.
+    """The machine seen through an alias map and one output table.
 
-    The base transducer is never mutated; push-backs record new outputs in
-    ``overlay`` keyed by raw (src, symbol, dst) triples.  ``parent`` maps
-    every state to its class's representative, the class's least member, so
-    ``find`` is one lookup, and ``members`` maps each representative to its
-    class's states.  ``union`` re-points the states of the class it folds,
+    The base transducer is never mutated.  ``outs`` maps every raw (src,
+    symbol, dst) key to its current output, the base machine's until a
+    push-back rewrites it, so ``out`` is one lookup.  ``parent`` maps every
+    state to its class's representative, the class's least member, so
+    ``find`` is one lookup too, and ``members`` maps each representative to
+    its class's states.  ``union`` re-points the states of the class it folds,
     the list it moves into the survivor's ``members``.  Every change goes
     through ``union`` or ``set_outs``, which keep three per-class facts
     current instead of recomputing them on each call:
@@ -120,8 +126,9 @@ class QuotientView:
     then permanent.  For this the view saves, before the first change since
     then to each class's facts, the class's edge list, its ``incoming`` and
     ``members`` lists with their lengths, and whether it accepts, and
-    ``set_outs`` saves the first old overlay entry of each key.  Between two
-    calls the two lists only grow in place, so a saved length restores one.
+    ``set_outs`` saves the output each key had before its first write, which
+    ``rollback`` writes back into ``outs``.  Between two calls the two lists
+    only grow in place, so a saved length restores one.
     A folded class's restored member list names every state that a union
     re-pointed away from it, so ``rollback`` re-points those lists; a state
     of a class that survived was never re-pointed.  A class whose list a
@@ -134,28 +141,28 @@ class QuotientView:
     """
 
     __slots__ = (
-        "base", "parent", "members", "find", "overlay", "incoming",
-        "_raw_out", "_edges", "_stale", "_accepting", "_saved", "_saved_out")
+        "base", "parent", "members", "find", "outs", "out", "incoming",
+        "_edges", "_stale", "_accepting", "_saved", "_saved_out")
 
     def __init__(self, base: Transducer):
         self.base = base
         self.parent = {q: q for q in base.states}
         self.members = {q: [q] for q in base.states}
         self.find = self.parent.__getitem__
-        self.overlay: dict[RawKey, str] = {}
+        self.outs: dict[RawKey, str] = {}
+        self.out = self.outs.__getitem__
         self.incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
-        self._raw_out: dict[RawKey, str] = {}
         runs: dict[int, list[tuple]] = {q: [] for q in base.states}
         for src, sym, dst, out in base.transitions:
             key = (src, sym, dst)
-            self._raw_out[key] = out
+            self.outs[key] = out
             self.incoming[dst].append(key)
             runs[src].append((sym, dst, out, key))
         self._edges: dict[int, Sequence[tuple]] = {q: tuple(run) for q, run in runs.items()}
         self._stale: set[int] = set()
         self._accepting = set(base.accepting)
         self._saved: dict[int, tuple] = {}
-        self._saved_out: dict[RawKey, Optional[str]] = {}
+        self._saved_out: dict[RawKey, str] = {}
 
     def _save(self, cls: int) -> None:
         into, members = self.incoming[cls], self.members[cls]
@@ -200,17 +207,14 @@ class QuotientView:
         self.incoming[keep] = into_keep
         return touched
 
-    def out(self, key: RawKey) -> str:
-        return self.overlay.get(key, self._raw_out[key])
-
     def set_outs(self, writes: dict[RawKey, str]) -> None:
         """Record new outputs for raw transitions, then rebuild the edge list
         of each written class once."""
-        overlay, saved_out = self.overlay, self._saved_out
+        outs, saved_out = self.outs, self._saved_out
         written = set()
         for key, out in writes.items():
-            saved_out.setdefault(key, overlay.get(key))
-            overlay[key] = out
+            saved_out.setdefault(key, outs[key])
+            outs[key] = out
             written.add(self.find(key[0]))
         for cls in written:
             if cls not in self._saved:
@@ -230,12 +234,7 @@ class QuotientView:
 
     def rollback(self) -> None:
         """Undo every change since the last ``keep`` or ``rollback``."""
-        overlay = self.overlay
-        for key, out in self._saved_out.items():
-            if out is None:
-                del overlay[key]
-            else:
-                overlay[key] = out
+        self.outs.update(self._saved_out)
         parent, members = self.parent, self.members
         stale, accepting = self._stale, self._accepting
         for cls, (edges, was_stale, into, n_into, mine, n_mine, accepts) in self._saved.items():
@@ -287,7 +286,7 @@ class QuotientView:
         return self.find(self.base.initial)
 
     def materialize(self) -> Transducer:
-        """Collapse aliases and overlay into a fresh transducer."""
+        """Collapse aliases and current outputs into a fresh transducer."""
         classes = sorted(self.members)
         transitions = []
         for cls in classes:

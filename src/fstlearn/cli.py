@@ -122,17 +122,12 @@ def serialize_samples(pairs) -> str:
 
 def parse_samples(text: str) -> list[tuple[str, str]]:
     pairs = []
-    seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         if raw == "":
             continue
         if raw.count("\t") != 1:
             raise FormatError(f"line {lineno}: expected exactly one tab")
-        inp, out = raw.split("\t")
-        if inp in seen and seen[inp] != out:
-            raise ConflictError(inp, seen[inp], out)
-        seen[inp] = out
-        pairs.append((inp, out))
+        pairs.append(tuple(raw.split("\t")))
     return pairs
 
 

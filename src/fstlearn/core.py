@@ -57,10 +57,6 @@ class Path:
     def output_word(self) -> str:
         return "".join(t.out for t in self.transitions)
 
-    @property
-    def end(self) -> int:
-        return self.transitions[-1].dst
-
 
 class Transducer:
     """Immutable nondeterministic finite-state transducer.

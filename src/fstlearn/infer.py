@@ -10,7 +10,7 @@ from .ambiguity import QuotientView
 from .core import Transducer, renumber, trim
 from .errors import ConfigurationError, ConflictError
 from .merge import try_merge
-from .ptree import SampleSet, build_prefix_tree
+from .ptree import build_prefix_tree
 
 
 @dataclass
@@ -21,20 +21,20 @@ class LearnedModel:
     epsilon_output: Optional[str] = None
 
 
-def split_epsilon(samples: Iterable[tuple[str, str]]) -> tuple[SampleSet, Optional[str]]:
-    """Divert the empty-input pair to a side value, standing in the empty
-    pair for it so the machine part can be learned uniformly."""
-    eps: Optional[str] = None
-    rest = SampleSet()
+def split_epsilon(samples: Iterable[tuple[str, str]]) -> tuple[dict[str, str], Optional[str]]:
+    """The samples as a dict from input to output, with the empty input's
+    output diverted to a side value and the empty pair standing in for it, so
+    that the machine part can be learned uniformly.  Two samples of one input
+    with different outputs raise ``ConflictError``; this is the one conflict
+    check of a learning run."""
+    rest: dict[str, str] = {}
     for inp, out in samples:
-        if inp == "":
-            if eps is not None and eps != out:
-                raise ConflictError("", eps, out)
-            eps = out
-        else:
-            rest.insert(inp, out)
+        old = rest.setdefault(inp, out)
+        if old != out:
+            raise ConflictError(inp, old, out)
+    eps = rest.pop("", None)
     if eps is not None:
-        rest.insert("", "")
+        rest[""] = ""
     return rest, eps
 
 
@@ -65,8 +65,8 @@ def infer(
     """
     if max_merge_passes < 1:
         raise ConfigurationError("max_merge_passes must be at least 1")
-    sample_set, eps = split_epsilon(samples)
-    tree, prefixes = build_prefix_tree(sample_set)
+    rest, eps = split_epsilon(samples)
+    tree, prefixes = build_prefix_tree(rest)
     order = state_order(prefixes)
     hypothesis = QuotientView(tree)
     parent = hypothesis.parent  # a state survives while it is its class's representative

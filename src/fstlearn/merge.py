@@ -1,8 +1,8 @@
 """Merge attempts: unify ambiguous path pairs via push-backs, cascade forced
 merges, and commit or roll back.
 
-The hypothesis is a quotient view of the prefix tree (alias map plus output
-overlay) that lasts the whole run.  An attempt unions classes and writes
+The hypothesis is a quotient view of the prefix tree (a class map and one
+table of current outputs) that lasts the whole run.  An attempt unions classes and writes
 outputs on it directly; a rejection rolls the view back to where the attempt
 began (``QuotientView.rollback``), and a commit checks and keeps what it
 changed; no step reads the whole hypothesis.  An attempt gives up after

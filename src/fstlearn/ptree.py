@@ -1,4 +1,5 @@
-"""Onward prefix-tree construction from sample sets.
+"""Onward prefix-tree construction from a sample, a dict from each input
+string to its output string.
 
 The tree is built breadth-first.  A node's residual relation, the sample
 pairs left after consuming its input/output prefix, is kept only until the
@@ -13,70 +14,14 @@ for the rest, whose outputs are empty.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
 
 from .core import Transducer, lcp
-from .errors import ConflictError, InconsistencyError, ToolkitError
+from .errors import InconsistencyError
 
 
-class SampleSet:
-    """A finite functional relation from input strings to output strings.
-
-    Insertion of an input with a conflicting output raises; re-inserting an
-    identical pair is a no-op.  An empty input paired with a non-empty output
-    is rejected: that datum lives on the learner's side channel.
-    """
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs: Optional[Iterable[tuple[str, str]]] = None):
-        self._pairs: dict[str, str] = {}
-        if pairs is not None:
-            for inp, out in pairs:
-                self.insert(inp, out)
-
-    def insert(self, inp: str, out: str) -> None:
-        if inp == "" and out != "":
-            raise ToolkitError(
-                f"empty input with non-empty output {out!r} cannot be stored"
-            )
-        old = self._pairs.get(inp)
-        if old is not None and old != out:
-            raise ConflictError(inp, old, out)
-        self._pairs[inp] = out
-
-    def get(self, inp: str) -> Optional[str]:
-        return self._pairs.get(inp)
-
-    def __contains__(self, inp: str) -> bool:
-        return inp in self._pairs
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __eq__(self, other):
-        if not isinstance(other, SampleSet):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __repr__(self):
-        return f"SampleSet({sorted(self._pairs.items())!r})"
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self._pairs.items(), key=lambda p: (len(p[0]), p[0]))
-
-    def inputs(self) -> list[str]:
-        return sorted(self._pairs, key=lambda w: (len(w), w))
-
-    def input_alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted({ch for w in self._pairs for ch in w}))
-
-    def output_alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted({ch for w in self._pairs.values() for ch in w}))
-
-
-def build_prefix_tree(s: SampleSet) -> tuple[Transducer, list[tuple[str, str]]]:
-    """Build the onward canonical prefix tree for ``s``.
+def build_prefix_tree(samples: dict[str, str]) -> tuple[Transducer, list[tuple[str, str]]]:
+    """Build the onward canonical prefix tree for ``samples``, a dict from
+    each input to its output.
 
     Returns the tree and ``prefixes``, where ``prefixes[q]`` is the (input,
     output) prefix that leads from the root to node ``q``.  Nodes are
@@ -87,14 +32,16 @@ def build_prefix_tree(s: SampleSet) -> tuple[Transducer, list[tuple[str, str]]]:
     joins the group of its first output symbol, whose branch carries the
     group's longest common output prefix, or the bare branch when its output
     is empty.  Branches are emitted in that order, the groups sorted by
-    output symbol, so node ids follow it.
+    output symbol, so node ids follow it, and the tree does not depend on the
+    order of ``samples``.  An empty input with a non-empty output, at the root
+    or at any node, raises ``InconsistencyError``.
     """
-    sigma = s.input_alphabet()
-    gamma = s.output_alphabet()
+    sigma = {ch for inp in samples for ch in inp}
+    gamma = {ch for out in samples.values() for ch in out}
     prefixes: list[tuple[str, str]] = [("", "")]
     accepting: set[int] = set()
     transitions: list[tuple[int, str, int, str]] = []
-    queue: deque[tuple[int, dict[str, str]]] = deque([(0, s._pairs)])
+    queue: deque[tuple[int, dict[str, str]]] = deque([(0, samples)])
     while queue:
         q, res = queue.popleft()
         in_prefix, out_prefix = prefixes[q]

@@ -1,7 +1,7 @@
 """Reference constructions that only the tests use.
 
 Like ``fstlearn.oracle``, these are deliberately naive and share no code path
-with the learner: the pair derivative of a sample set, the star machine with
+with the learner: the pair derivative of a sample, the star machine with
 one arm per sample pair, the pair search after a list of unions, a learner
 that enumerates every machine structure and solves its outputs, and the first
 bounded LPP check, against which the oracle's faster one is cross-checked.
@@ -12,36 +12,37 @@ from typing import Iterable, Optional
 from fstlearn.ambiguity import PairSearchState, QuotientView
 from fstlearn.core import Path, Transducer
 from fstlearn.oracle import BoundedCheckReport, all_paths, path_outputs
-from fstlearn.ptree import SampleSet
 
 
-def raw_sample_set(pairs) -> SampleSet:
-    """A sample set holding ``pairs`` as given, with none of ``insert``'s
-    checks, so that an empty input may carry a non-empty output."""
-    s = SampleSet()
-    s._pairs.update(pairs)
-    return s
+def length_lex(s: dict) -> list[tuple[str, str]]:
+    """The pairs of the sample ``s`` sorted by input, length first."""
+    return sorted(s.items(), key=lambda p: (len(p[0]), p[0]))
 
 
-def derivative(s: SampleSet, sigma: str, gamma: str) -> SampleSet:
+def alphabets(s: dict) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The sorted input and output symbols of the sample ``s``."""
+    return (tuple(sorted({ch for inp in s for ch in inp})),
+            tuple(sorted({ch for out in s.values() for ch in out})))
+
+
+def derivative(s: dict, sigma: str, gamma: str) -> dict:
     """Residual relation after consuming input symbol ``sigma`` and output
     prefix ``gamma``: {(i', o') : (sigma i', gamma o') in s}.  It may carry an
     empty input with a non-empty output."""
     rest = {}
-    for inp, out in s._pairs.items():
+    for inp, out in s.items():
         if inp.startswith(sigma) and inp != "" and out.startswith(gamma):
             rest[inp[len(sigma):]] = out[len(gamma):]
-    return raw_sample_set(rest)
+    return rest
 
 
-def build_star(s: SampleSet) -> Transducer:
+def build_star(s: dict) -> Transducer:
     """One arm per sample pair, full output on the first transition."""
-    sigma = s.input_alphabet()
-    gamma = s.output_alphabet()
+    sigma, gamma = alphabets(s)
     accepting: set[int] = set()
     transitions: list[tuple[int, str, int, str]] = []
     next_state = 1
-    for inp, out in s.pairs():
+    for inp, out in length_lex(s):
         if inp == "":
             accepting.add(0)
             continue
@@ -139,7 +140,7 @@ def _solve_outputs(equations, var_order):
 
 
 def enumerate_minimal_consistent(
-    s: SampleSet, max_states: int
+    s: dict, max_states: int
 ) -> Optional[Transducer]:
     """Smallest transducer consistent with every pair of ``s``, by exhaustive
     enumeration of machine structures with outputs solved per structure.
@@ -148,8 +149,9 @@ def enumerate_minimal_consistent(
     then by accepting-set mask; the first machine whose every accepting run
     over a sampled input can be made to yield the sampled output is returned.
     """
-    sigma = s.input_alphabet() or ("a",)
-    pairs = s.pairs()
+    sigma, gamma = alphabets(s)
+    sigma = sigma or ("a",)
+    pairs = length_lex(s)
     for n in range(1, max_states + 1):
         triples = [
             (src, sym, dst)
@@ -164,13 +166,13 @@ def enumerate_minimal_consistent(
                 step.setdefault((src, sym), []).append((dst, idx))
             for acc_mask in range(1 << n):
                 accepting = {q for q in range(n) if acc_mask >> q & 1}
-                machine = _solve_structure(chosen, step, accepting, pairs, s, sigma, n)
+                machine = _solve_structure(chosen, step, accepting, pairs, gamma, sigma, n)
                 if machine is not None:
                     return machine
     return None
 
 
-def _solve_structure(chosen, step, accepting, pairs, s, sigma, n):
+def _solve_structure(chosen, step, accepting, pairs, gamma, sigma, n):
     equations = []
     for inp, out in pairs:
         runs = _structure_runs(step, accepting, inp)
@@ -181,9 +183,7 @@ def _solve_structure(chosen, step, accepting, pairs, s, sigma, n):
     solution = _solve_outputs(equations, list(range(len(chosen))))
     if solution is None:
         return None
-    gamma = set(s.output_alphabet())
-    for val in solution.values():
-        gamma.update(val)
+    gamma = set(gamma).union(*solution.values())
     machine = Transducer(
         range(n),
         sigma,

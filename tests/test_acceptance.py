@@ -18,7 +18,7 @@ from fstlearn.oracle import (
     generate_informant,
     words_up_to,
 )
-from fstlearn.ptree import SampleSet, build_prefix_tree
+from fstlearn.ptree import build_prefix_tree
 
 from machines import (
     BATTERY,
@@ -187,7 +187,7 @@ def test_criterion_7_prefix_tree_laws():
             informant = [p for p in informant if rng.random() < 0.7]
         if not informant:
             continue
-        s = SampleSet(informant)
+        s = dict(informant)
         tree, _ = build_prefix_tree(s)
         max_len = max(len(i) for i, _ in informant)
         for word in words_up_to(tree.input_alphabet, max_len + 1):
@@ -254,7 +254,7 @@ def test_criterion_9_enumeration_cross_check():
             continue
         informant = generate_informant(trim(target), 2 * m)
         model = infer(informant)
-        enumerated = enumerate_minimal_consistent(SampleSet(informant), m)
+        enumerated = enumerate_minimal_consistent(dict(informant), m)
         ok = (
             enumerated is not None
             and len(enumerated.states) <= m

@@ -17,7 +17,7 @@ from fstlearn.errors import InvariantError
 from fstlearn.infer import infer
 from fstlearn.merge import open_session, push_back, run_session
 from fstlearn.oracle import accepting_paths, words_up_to
-from fstlearn.ptree import SampleSet, build_prefix_tree
+from fstlearn.ptree import build_prefix_tree
 
 from machines import random_machine
 from reference import square_reach_after
@@ -71,7 +71,7 @@ def test_two_accepting_paths_witnessed():
     w = find_ambiguity(t, square_reach(t))
     assert w is not None
     assert w.path_a.input_word == "a" == w.path_b.input_word
-    ends = {w.path_a.end, w.path_b.end}
+    ends = {w.path_a.transitions[-1].dst, w.path_b.transitions[-1].dst}
     assert ends == {1, 2}
 
 
@@ -214,13 +214,13 @@ def _samples_of(t, max_len):
         outs = transduce(t, word)
         if outs:
             samples[word] = min(outs)
-    return samples.items()
+    return samples
 
 
 def _machine_and_its_tree(t):
     """``t``, and the prefix tree of its relation up to length 4: a cyclic
     base, and one where push-backs are legal."""
-    tree, _ = build_prefix_tree(SampleSet(_samples_of(t, 4)))
+    tree, _ = build_prefix_tree(_samples_of(t, 4))
     return t, tree
 
 
@@ -252,7 +252,7 @@ def test_indexed_view_matches_a_fresh_view_under_unions_and_push_backs():
                 fresh = QuotientView(base)
                 for a, b in unions:
                     fresh.union(a, b)
-                fresh.set_outs(view.overlay)
+                fresh.set_outs(view.outs)
                 for cls in sorted(view.members):
                     assert view.edges_from(cls) == fresh.edges_from(cls)
                     assert view.class_accepting(cls) == any(
@@ -333,7 +333,7 @@ def _every_class(view):
         [view.incoming_edges(cls) for cls in classes],
         [view.class_accepting(cls) for cls in classes],
         view.members,
-        view.overlay,
+        view.outs,
     )
 
 
@@ -351,7 +351,7 @@ def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
             session = open_session(QuotientView(base), states[0], states[0])
             view = session.view
             keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
-            kept, unions, overlay = [], [], {}
+            kept, unions, kept_outs = [], [], {}
             for _ in range(24):
                 step = rng.random()
                 if step < 0.4 and len(states) > 1:
@@ -368,7 +368,7 @@ def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
                 elif step < 0.85:
                     view.keep()
                     kept += unions
-                    unions, overlay = [], dict(view.overlay)
+                    unions, kept_outs = [], dict(view.outs)
                 else:
                     seen["stale saved"] += sum(state[1] for state in view._saved.values())
                     seen["rollbacks"] += bool(unions)
@@ -377,7 +377,7 @@ def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
                     fresh = QuotientView(base)
                     for a, b in kept:
                         fresh.union(a, b)
-                    fresh.set_outs(overlay)
+                    fresh.set_outs(kept_outs)
                     assert _every_class(view) == _every_class(fresh)
                 classes = sorted(view.members)
                 for cls in rng.sample(classes, rng.randrange(len(classes) // 3 + 1)):
@@ -386,11 +386,11 @@ def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
     assert seen["stale saved"] >= 50
 
 
-def _fresh_search(base, unions, overlay):
+def _fresh_search(base, unions, outs):
     view = QuotientView(base)
     for a, b in unions:
         view.union(a, b)
-    view.set_outs(overlay)
+    view.set_outs(outs)
     st = PairSearchState(view)
     st.explore()
     return st
@@ -405,13 +405,7 @@ def test_merge_update_keeps_an_exact_prefix_of_a_fresh_search():
     outcomes = Counter()
     for _ in range(40):
         t = random_machine(rng, max_states=6)
-        samples = {}
-        for word in words_up_to(t.input_alphabet, 4):
-            outs = transduce(t, word)
-            if outs:
-                samples[word] = min(outs)
-        tree, _ = build_prefix_tree(SampleSet(samples.items()))
-        for base in (t, tree):
+        for base in _machine_and_its_tree(t):
             states = sorted(base.states)
             session = open_session(QuotientView(base), states[0], states[0])
             st, view = session.search, session.view
@@ -433,7 +427,7 @@ def test_merge_update_keeps_an_exact_prefix_of_a_fresh_search():
                     out = view.out(key)
                     if out:
                         outcomes["pushed"] += push_back(session, key, out[rng.randrange(len(out)):])
-                fresh = _fresh_search(base, unions, view.overlay)
+                fresh = _fresh_search(base, unions, view.outs)
                 reached = list(st.reached.items())
                 assert reached == list(fresh.reached.items())[: len(reached)]
                 assert st.events == fresh.events[: len(st.events)]
@@ -489,13 +483,14 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
             for side in witness:
                 cls = view.initial_class()
                 for key in side:
-                    assert key in view._raw_out  # a transition of the base
+                    assert key in view.outs  # a transition of the base
                     assert view.find(key[0]) == cls
                     cls = view.find(key[2])
                 assert view.class_accepting(cls)
             assert _quotient_path(view, raw_a) != _quotient_path(view, raw_b)
             seen["witnesses"] += 1
-            seen["after a push-back"] += bool(view.overlay)
+            seen["after a push-back"] += any(
+                view.out(tr[:3]) != tr.out for tr in view.base.transitions)
         return witness
 
     monkeypatch.setattr(PairSearchState, "next_witness", checked)
@@ -508,7 +503,7 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
             a, b = sorted(rng.sample(states, 2)) if len(states) > 1 else (states[0],) * 2
             run_session(open_session(QuotientView(t), a, b))
         seen["on a cyclic base"] += seen["witnesses"] - before
-        infer(_samples_of(t, 5))  # the learner's sessions on a prefix tree
+        infer(_samples_of(t, 5).items())  # the learner's sessions on a prefix tree
     assert seen["witnesses"] >= 5000
     assert seen["on a cyclic base"] >= 100
     assert seen["after a push-back"] >= 25

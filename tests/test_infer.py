@@ -12,7 +12,7 @@ from fstlearn.core import Transducer, transduce, trim
 from fstlearn.errors import ConfigurationError, ConflictError, ToolkitError
 from fstlearn.infer import infer, split_epsilon, state_order
 from fstlearn.oracle import equivalent_up_to, generate_informant
-from fstlearn.ptree import SampleSet, build_prefix_tree
+from fstlearn.ptree import build_prefix_tree
 
 from machines import (
     BATTERY,
@@ -27,13 +27,13 @@ from machines import (
 def test_split_epsilon_diverts_empty_input():
     rest, eps = split_epsilon([("", "z"), ("a", "x")])
     assert eps == "z"
-    assert rest.pairs() == [("", ""), ("a", "x")]
+    assert rest == {"": "", "a": "x"}
 
 
 def test_split_epsilon_absent():
     rest, eps = split_epsilon([("a", "x")])
     assert eps is None
-    assert rest.pairs() == [("a", "x")]
+    assert rest == {"a": "x"}
 
 
 def test_split_epsilon_conflict():
@@ -41,22 +41,26 @@ def test_split_epsilon_conflict():
         split_epsilon([("", "z"), ("", "w")])
 
 
+def test_split_epsilon_conflict_on_nonempty_input():
+    with pytest.raises(ConflictError) as info:
+        split_epsilon([("a", "x"), ("b", "y"), ("a", "z")])
+    assert (info.value.input, info.value.outputs) == ("a", ("x", "z"))
+
+
 def test_state_order_is_length_lexicographic():
-    _, prefixes = build_prefix_tree(
-        SampleSet([("a", "x"), ("b", "y"), ("aa", "xx")])
-    )
+    _, prefixes = build_prefix_tree({"a": "x", "b": "y", "aa": "xx"})
     idents = [prefixes[q][0] for q in state_order(prefixes)]
     assert idents == ["", "a", "b", "aa"]
 
 
 def test_state_order_breaks_ties_on_output():
-    _, prefixes = build_prefix_tree(SampleSet([("a", "x"), ("ab", "yz")]))
+    _, prefixes = build_prefix_tree({"a": "x", "ab": "yz"})
     ordered = [prefixes[q] for q in state_order(prefixes)]
     assert ordered.index(("a", "x")) < ordered.index(("a", "yz"))
 
 
 def test_state_order_singleton():
-    _, prefixes = build_prefix_tree(SampleSet([("", "")]))
+    _, prefixes = build_prefix_tree({"": ""})
     assert state_order(prefixes) == [0]
 
 

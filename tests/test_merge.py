@@ -22,7 +22,7 @@ from fstlearn.merge import (
     unify_paths,
 )
 from fstlearn.oracle import generate_informant, words_up_to
-from fstlearn.ptree import SampleSet, build_prefix_tree
+from fstlearn.ptree import build_prefix_tree
 
 from machines import BATTERY, random_machine, random_mostly_deterministic
 
@@ -30,7 +30,7 @@ merge_module = importlib.import_module("fstlearn.merge")
 
 
 def tree_of(pairs):
-    return build_prefix_tree(SampleSet(pairs))
+    return build_prefix_tree(dict(pairs))
 
 
 def merged_machine(h, a, b, trace=None):
@@ -80,7 +80,7 @@ def test_failed_merge_leaves_hypothesis_untouched():
 def test_committed_merges_preserve_accepted_inputs():
     for name, target, m in BATTERY[:4]:
         informant = generate_informant(trim(target), 2 * m)
-        tree, _ = build_prefix_tree(SampleSet(informant))
+        tree, _ = build_prefix_tree(dict(informant))
         max_len = max(len(i) for i, _ in informant)
         order = sorted(tree.states)
         view = QuotientView(tree)
@@ -279,7 +279,7 @@ def _facts(view):
         [set(view.incoming[cls]) for cls in classes],
         [cls for cls in classes if view.class_accepting(cls)],
         view.members,
-        view.overlay,
+        view.outs,
     )
 
 

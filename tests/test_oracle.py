@@ -14,21 +14,20 @@ from fstlearn.oracle import (
     generate_informant,
     path_outputs,
 )
-from fstlearn.ptree import SampleSet
 
 from machines import random_deterministic_total, random_machine, random_mostly_deterministic
 from reference import enumerate_minimal_consistent, local_prefix_preservation_up_to
 
 
 def test_enumeration_single_pair():
-    machine = enumerate_minimal_consistent(SampleSet([("a", "x")]), 2)
+    machine = enumerate_minimal_consistent({"a": "x"}, 2)
     assert machine is not None
     assert len(machine.states) <= 2
     assert path_outputs(machine, "a") == {"x"}
 
 
 def test_enumeration_empty_sample_set():
-    machine = enumerate_minimal_consistent(SampleSet(), 1)
+    machine = enumerate_minimal_consistent({}, 1)
     assert machine is not None
     assert len(machine.states) == 1
     assert not machine.accepting
@@ -36,7 +35,7 @@ def test_enumeration_empty_sample_set():
 
 def test_enumeration_respects_state_budget():
     # x and y share no prefix, so no 1- or 2-state machine fits; three do
-    s = SampleSet([("a", "x"), ("aa", "y")])
+    s = {"a": "x", "aa": "y"}
     assert enumerate_minimal_consistent(s, 1) is None
     assert enumerate_minimal_consistent(s, 2) is None
     bigger = enumerate_minimal_consistent(s, 3)
@@ -132,7 +131,7 @@ def test_lpp_holds_on_prefix_trees():
         informant = generate_informant(target, 3)
         if not informant:
             continue
-        tree, _ = build_prefix_tree(SampleSet(informant))
+        tree, _ = build_prefix_tree(dict(informant))
         assert check_local_prefix_preservation_up_to(tree, 4).verdict
 
 

@@ -7,7 +7,7 @@ from fstlearn.core import Transducer, transduce, trim
 from fstlearn.oracle import words_up_to
 from fstlearn.ptree import lcp
 
-from reference import derivative, raw_sample_set
+from reference import derivative
 
 words = st.text(alphabet="xy", max_size=6)
 inputs = st.text(alphabet="ab", min_size=1, max_size=5)
@@ -33,14 +33,13 @@ def test_lcp_is_longest(strings):
     words,
 )
 def test_derivative_matches_definition(pairs, sigma, gamma):
-    s = raw_sample_set(pairs)
-    d = derivative(s, sigma, gamma)
+    d = derivative(pairs, sigma, gamma)
     expected = {
         inp[1:]: out[len(gamma):]
         for inp, out in pairs.items()
         if inp.startswith(sigma) and out.startswith(gamma)
     }
-    assert dict(d.pairs()) == expected
+    assert d == expected
 
 
 @given(
@@ -48,9 +47,8 @@ def test_derivative_matches_definition(pairs, sigma, gamma):
     st.sampled_from("ab"),
 )
 def test_derivative_round_trip_through_concatenation(pairs, sigma):
-    s = raw_sample_set(pairs)
-    d = derivative(s, sigma, "")
-    for rest, out in d.pairs():
+    d = derivative(pairs, sigma, "")
+    for rest, out in d.items():
         assert pairs[sigma + rest] == out
 
 

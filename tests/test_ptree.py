@@ -10,31 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fstlearn.core import Transducer, transduce
-from fstlearn.errors import ConflictError, InconsistencyError, ToolkitError
+from fstlearn.errors import InconsistencyError
 from fstlearn.oracle import (
     check_ambiguous_up_to,
     equivalent_up_to,
     generate_informant,
     words_up_to,
 )
-from fstlearn.ptree import SampleSet, build_prefix_tree, lcp
+from fstlearn.ptree import build_prefix_tree, lcp
 
 from machines import BATTERY, NONDET_EXAMPLE, random_deterministic_total
-from reference import build_star, derivative, raw_sample_set
+from reference import alphabets, build_star, derivative
 
 
 def test_derivative_definition():
-    s = SampleSet([("ab", "xy"), ("ac", "xz"), ("b", "w")])
+    s = {"ab": "xy", "ac": "xz", "b": "w"}
     d = derivative(s, "a", "x")
-    assert d == SampleSet([("b", "y"), ("c", "z")])
+    assert d == {"b": "y", "c": "z"}
 
 
 def test_derivative_consumes_whole_pair():
-    assert derivative(SampleSet([("a", "x")]), "a", "x").pairs() == [("", "")]
+    assert derivative({"a": "x"}, "a", "x") == {"": ""}
 
 
 def test_derivative_empty():
-    assert len(derivative(SampleSet([("a", "x")]), "b", "")) == 0
+    assert derivative({"a": "x"}, "b", "") == {}
 
 
 def test_lcp_basic():
@@ -54,19 +54,14 @@ def test_lcp_empty_set_is_an_error():
         lcp(set())
 
 
-def test_sample_set_conflict():
-    s = SampleSet([("a", "x")])
-    with pytest.raises(ConflictError):
-        s.insert("a", "y")
-
-
 def test_sample_set_rejects_empty_input_with_output():
-    with pytest.raises(ToolkitError):
-        SampleSet([("", "z")])
+    with pytest.raises(InconsistencyError) as info:
+        build_prefix_tree({"": "z"})
+    assert info.value.pair == ("", "z")
 
 
 def test_tree_chain():
-    tree, prefixes = build_prefix_tree(SampleSet([("a", "x"), ("aa", "xx")]))
+    tree, prefixes = build_prefix_tree({"a": "x", "aa": "xx"})
     assert tree.transitions == (
         (0, "a", 1, "x"),
         (1, "a", 2, "x"),
@@ -76,7 +71,7 @@ def test_tree_chain():
 
 
 def test_tree_nondeterministic_branch():
-    tree, _ = build_prefix_tree(SampleSet([("a", "x"), ("ab", "yz")]))
+    tree, _ = build_prefix_tree({"a": "x", "ab": "yz"})
     # exact branch a/x to an accepting state, and a second branch a/yz
     # continuing with b/<empty> to an accepting state
     outs = sorted((t.symbol, t.out) for t in tree.transitions)
@@ -86,7 +81,7 @@ def test_tree_nondeterministic_branch():
 
 
 def test_tree_of_empty_pair_only():
-    tree, prefixes = build_prefix_tree(SampleSet([("", "")]))
+    tree, prefixes = build_prefix_tree({"": ""})
     assert len(tree.states) == 1
     assert prefixes == [("", "")]
     assert tree.accepting == {0}
@@ -94,20 +89,20 @@ def test_tree_of_empty_pair_only():
 
 
 def test_star_single_pair():
-    star = build_star(SampleSet([("ab", "xyz")]))
+    star = build_star({"ab": "xyz"})
     assert star.transitions == ((0, "a", 1, "xyz"), (1, "b", 2, ""))
     assert star.accepting == {2}
 
 
 def test_star_two_arms():
-    star = build_star(SampleSet([("a", "x"), ("b", "y")]))
+    star = build_star({"a": "x", "b": "y"})
     assert len(star.states) == 3
     assert transduce(star, "a") == {"x"}
     assert transduce(star, "b") == {"y"}
 
 
 def test_star_empty():
-    star = build_star(SampleSet())
+    star = build_star({})
     assert len(star.states) == 1
     assert not star.accepting
 
@@ -141,18 +136,18 @@ def _conforming_sample_sets(count, seed):
         informant = generate_informant(target, rng.randint(2, 4))
         if not informant:
             continue
-        sets.append(SampleSet(informant))
+        sets.append(dict(informant))
         # also a random nonempty subset of the informant
         subset = [p for p in informant if rng.random() < 0.6]
         if subset and len(sets) < count:
-            sets.append(SampleSet(subset))
+            sets.append(dict(subset))
     return sets
 
 
 def test_tree_reproduces_relation_exactly():
     for s in _conforming_sample_sets(40, seed=23):
         tree, _ = build_prefix_tree(s)
-        max_len = max((len(i) for i in s.inputs()), default=0)
+        max_len = max(map(len, s), default=0)
         for word in words_up_to(tree.input_alphabet, max_len + 1):
             expected = s.get(word)
             got = transduce(tree, word)
@@ -162,7 +157,7 @@ def test_tree_reproduces_relation_exactly():
 def test_tree_is_unambiguous():
     for s in _conforming_sample_sets(20, seed=29):
         tree, _ = build_prefix_tree(s)
-        max_len = max((len(i) for i in s.inputs()), default=0)
+        max_len = max(map(len, s), default=0)
         assert check_ambiguous_up_to(tree, max_len).verdict
 
 
@@ -182,7 +177,7 @@ def test_annotation_residuals_are_pair_derivatives_of_the_root():
             i, o = prefixes[state]
             expected = {
                 (inp[len(i):], out[len(o):])
-                for inp, out in s.pairs()
+                for inp, out in s.items()
                 if inp.startswith(i) and out.startswith(o)
             }
             assert subtree_relation(tree, state) == expected, (state, i, o)
@@ -198,7 +193,7 @@ def test_star_and_tree_agree():
     for s in _conforming_sample_sets(25, seed=41):
         tree, _ = build_prefix_tree(s)
         star = build_star(s)
-        max_len = max((len(i) for i in s.inputs()), default=0)
+        max_len = max(map(len, s), default=0)
         assert equivalent_up_to(tree, star, max_len + 1).verdict
 
 
@@ -208,7 +203,7 @@ def test_tree_edges_converge_to_target_edges():
     it corresponds to."""
     for name, target, m in BATTERY:
         informant = generate_informant(target, 2 * m)
-        tree, prefixes = build_prefix_tree(SampleSet(informant))
+        tree, prefixes = build_prefix_tree(dict(informant))
         # walk tree and target in lockstep
         pairs = {(0, target.initial)}
         seen = set()
@@ -242,15 +237,13 @@ def test_tree_edges_converge_to_target_edges():
 def test_tree_handles_epsilon_output_continuations():
     # a conforming informant whose '#' arm continues with all-empty outputs
     informant = generate_informant(NONDET_EXAMPLE, 5)
-    tree, _ = build_prefix_tree(SampleSet(informant))
+    tree, _ = build_prefix_tree(dict(informant))
     for word, out in informant:
         assert transduce(tree, word) == {out}
 
 
 def test_tree_states_are_numbered_in_order():
-    tree, prefixes = build_prefix_tree(
-        SampleSet([("a", "x"), ("ab", "yz"), ("b", "w")])
-    )
+    tree, prefixes = build_prefix_tree({"a": "x", "ab": "yz", "b": "w"})
     assert sorted(tree.states) == list(range(len(prefixes)))
     keys = [(len(i), i, len(o), o) for i, o in prefixes]
     assert keys == sorted(keys)
@@ -261,7 +254,7 @@ def test_tree_keeps_no_residuals():
     # tree and the prefixes cost a few hundred bytes per node, while keeping
     # every node's residual relation would cost about 1.6 kB per node here
     rotation = next(t for name, t, _ in BATTERY if name == "rotation")
-    s = SampleSet(generate_informant(rotation, 8))
+    s = dict(generate_informant(rotation, 8))
     tracemalloc.start()
     try:
         built = build_prefix_tree(s)
@@ -271,8 +264,16 @@ def test_tree_keeps_no_residuals():
     assert held < 1000 * len(built[0].states)
 
 
+def test_tree_does_not_depend_on_the_order_of_the_samples():
+    rng = random.Random(43)
+    for s in _conforming_sample_sets(20, seed=43):
+        pairs = list(s.items())
+        rng.shuffle(pairs)
+        assert build_prefix_tree(dict(pairs)) == build_prefix_tree(s)
+
+
 def test_root_with_empty_input_and_nonempty_output_is_inconsistent():
-    residual = derivative(SampleSet([("a", "x")]), "a", "")
+    residual = derivative({"a": "x"}, "a", "")
     with pytest.raises(InconsistencyError) as info:
         build_prefix_tree(residual)
     assert info.value.pair == ("", "x")
@@ -282,8 +283,7 @@ def reference_prefix_tree(s):
     """The builder that per node and input symbol takes one ``derivative`` per
     output symbol and checks afterwards that some branch carries every pair.
     The reference for ``build_prefix_tree``."""
-    sigma = s.input_alphabet()
-    gamma = s.output_alphabet()
+    sigma, gamma = alphabets(s)
     prefixes = [("", "")]
     accepting = set()
     transitions = []
@@ -301,26 +301,26 @@ def reference_prefix_tree(s):
             branches = []
             if exact is not None:
                 branches.append((exact, derivative(res, sym, exact)))
-            rest = raw_sample_set({
+            rest = {
                 inp: out
-                for inp, out in res.pairs()
+                for inp, out in res.items()
                 if inp.startswith(sym) and inp != ""
                 and (exact is None or not out.startswith(exact))
-            })
+            }
             for g in gamma:
                 d = derivative(rest, sym, g)
-                if len(d) == 0:
+                if not d:
                     continue
-                p = g + lcp({out for _, out in d.pairs()})
+                p = g + lcp(d.values())
                 branches.append((p, derivative(rest, sym, p)))
             bare = {
                 inp[1:]: ""
-                for inp, out in rest.pairs()
+                for inp, out in rest.items()
                 if len(inp) > 1 and out == ""
             }
             if bare:
-                branches.append(("", raw_sample_set(bare)))
-            for inp, out in res.pairs():
+                branches.append(("", bare))
+            for inp, out in res.items():
                 if not inp.startswith(sym) or inp == "":
                     continue
                 if not any(inp[1:] in d and d.get(inp[1:]) == out[len(b):]
@@ -352,7 +352,7 @@ def functional_sample_sets(draw):
         if raw and draw(st.booleans()):
             stem = draw(st.sampled_from(sorted(raw.values())))
         raw[inp] = stem + draw(st.text(gamma, max_size=3))
-    return raw_sample_set(raw)
+    return raw
 
 
 def _build(builder, s):
