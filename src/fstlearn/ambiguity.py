@@ -73,6 +73,29 @@ any pair therefore reaches the root pair.  A witness is rebuilt along that
 tree as the two sides' raw keys; a caller reads classes and outputs through
 the view when it uses them, so push-backs applied after discovery are
 reflected faithfully.
+
+The trunk.  The trunk is the set of kept pairs whose back-pointer walk to the
+root takes the same raw key on both sides at every step; the root pair is on
+it, and every other trunk pair is a diagonal pair reached by one raw path
+taken twice.  An expansion of a trunk pair puts a child on it when it
+discovers the child through one edge taken twice, a restart leaves only the
+root pair, and a cut drops the trunk pairs it cuts, so the set stays exact.
+Walking up from any pair, the first trunk pair met is where the two sides of
+its walk fork: below it, the first step takes two different raw keys, since a
+pair discovered from a trunk pair through one edge taken twice is on the
+trunk, and the two edges of a reconverge event are distinct.
+
+Why a session's witness can start at the fork.  ``next_witness`` rebuilds a
+witness from the first trunk pair on its walk, not from the root pair, and
+so drops the longest leading run of positions where both sides take the same
+raw key; on the learner's workloads that run is most of a witness.  At such a
+position ``merge.unify_paths`` does nothing: the two sides leave and reach
+the same classes with the same output, so no push-back is made, no pair is
+queued, the root-asymmetry check cannot fire, and the position is already
+one quotient path.  Its other decisions compare a position only with the
+last one, which the shorter witness keeps, so every union and push-back it
+makes is the same.  ``find_ambiguity`` still walks from the root pair, since
+its paths must read a whole accepted input.
 """
 
 from __future__ import annotations
@@ -340,7 +363,9 @@ class PairSearchState:
     union changed, so ``merge_update`` cuts the search back to there (see the
     module docstring).  Every back-pointer of a kept pair points to a pair
     with a smaller index, so the back-pointers form a tree and a walk up from
-    any pair reaches the root in at most ``len(reached)`` steps.
+    any pair reaches the root in at most ``len(reached)`` steps.  ``_trunk``
+    is exactly the set of kept pairs whose walk up takes equal raw keys on
+    both sides at every step, the root pair among them.
     """
 
     def __init__(self, view: QuotientView):
@@ -356,6 +381,7 @@ class PairSearchState:
         self._first = {root[0]: 0}  # class -> index of the first pair holding it
         self._marks: list[tuple[int, int]] = []
         self._paused = None  # the started expansion, until it has run out
+        self._trunk = {root}
 
     # -- exploration ------------------------------------------------------
 
@@ -385,6 +411,7 @@ class PairSearchState:
         view, reached, events, keys, first = (
             self.view, self.reached, self.events, self._keys, self._first)
         accepting = view.class_accepting
+        trunk = self._trunk if pair in self._trunk else None
         p, q = pair
         edges_p = view.edges_from(p)
         edges_q = edges_p if p == q else view.edges_from(q)
@@ -404,6 +431,8 @@ class PairSearchState:
                 child = (d1, d2) if d1 <= d2 else (d2, d1)
                 if child not in reached:
                     reached[child] = (pair, sym, raw1, raw2)
+                    if e2 is e1 and trunk is not None:
+                        trunk.add(child)
                     first.setdefault(d1, len(keys))
                     first.setdefault(d2, len(keys))
                     keys.append(child)
@@ -434,10 +463,11 @@ class PairSearchState:
         """Drop the k-th expansion and every later one, with what they
         discovered and the events they appended."""
         size, n_events = self._marks[k]
-        reached, keys, first = self.reached, self._keys, self._first
+        reached, keys, first, trunk = self.reached, self._keys, self._first, self._trunk
         for index in range(len(keys) - 1, size - 1, -1):
             pair = keys[index]
             del reached[pair]
+            trunk.discard(pair)
             for c in pair:
                 if first.get(c) == index:
                     del first[c]
@@ -448,18 +478,20 @@ class PairSearchState:
 
     # -- witness extraction -------------------------------------------------
 
-    def _thread(self, pair, last: Optional[tuple] = None) -> tuple[list, list]:
-        """The raw keys of the two sides of the walk from the root pair down
-        the back-pointer tree to ``pair``, then along ``last`` (symbol, raw
-        key, raw key) if given."""
+    def _thread(self, pair, last: Optional[tuple] = None,
+                whole: bool = False) -> tuple[list, list]:
+        """The raw keys of the two sides of the walk down the back-pointer
+        tree to ``pair``, then along ``last`` (symbol, raw key, raw key) if
+        given.  The walk starts at the last trunk pair on the way, where the
+        two sides fork, or at the root pair if ``whole``."""
         steps = [] if last is None else [last]
-        entry = self.reached[pair]
-        while entry is not None:
-            parent, *step = entry
+        start = (self._keys[0],) if whole else self._trunk
+        reached = self.reached
+        while pair not in start:
+            pair, *step = reached[pair]
             steps.append(step)
-            entry = self.reached[parent]
         find = self.view.find
-        sa = self.view.initial_class()
+        sa = pair[0]
         side_a, side_b = [], []
         for _, raw1, raw2 in reversed(steps):
             if find(raw1[0]) != sa:
@@ -498,19 +530,21 @@ class PairSearchState:
         ext.reverse()
         return ext
 
-    def _build_witness(self, event) -> Optional[tuple[list, list]]:
+    def _build_witness(self, event, whole: bool = False) -> Optional[tuple[list, list]]:
         if event[0] == "accept":
-            return self._thread(event[1])
+            return self._thread(event[1], whole=whole)
         _, parent, sym, raw1, raw2 = event
         ext = self._acceptance_extension(self.view.find(raw1[2]))
         if ext is None:
             return None
-        side_a, side_b = self._thread(parent, (sym, raw1, raw2))
+        side_a, side_b = self._thread(parent, (sym, raw1, raw2), whole=whole)
         return side_a + ext, side_b + ext
 
     def next_witness(self) -> Optional[tuple[list, list]]:
         """Consume events (expanding as needed) until a valid witness, as the
-        raw keys of its two sides, or exhaustion."""
+        raw keys of its two sides, or exhaustion.  The sides start where the
+        two runs fork: at a common class that one raw path reaches from the
+        initial class, not necessarily the initial class itself."""
         while True:
             while self._cursor < len(self.events):
                 event = self.events[self._cursor]
@@ -543,7 +577,7 @@ def find_ambiguity(t: Transducer, st: PairSearchState) -> Optional[AmbiguousPath
 
     st.explore()
     for event in st.events:
-        witness = st._build_witness(event)
+        witness = st._build_witness(event, whole=True)
         if witness is not None:
             return AmbiguousPathPair(*map(path, witness))
     return None

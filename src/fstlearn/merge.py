@@ -74,8 +74,9 @@ def unify_paths(
 ) -> bool:
     """Make the two sides of a witness, given as raw keys, one quotient path:
     equalize outputs position by position with push-backs and schedule every
-    state pair for merging.  Sets ``session.failure`` and returns False when
-    unification is illegal."""
+    state pair for merging.  The sides start at one common class, which need
+    not be the initial class.  Sets ``session.failure`` and returns False
+    when unification is illegal."""
     view = session.view
     find, out = view.find, view.out
 

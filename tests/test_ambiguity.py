@@ -437,6 +437,70 @@ def test_merge_update_keeps_an_exact_prefix_of_a_fresh_search():
     assert outcomes["pushed"] >= 20
 
 
+def _walked_trunk(st):
+    """The reached pairs whose back-pointer walk to the root takes equal raw
+    keys on both sides at every step, found by walking it."""
+    trunk = set()
+    for pair, entry in st.reached.items():
+        while entry is not None and entry[2] == entry[3]:
+            entry = st.reached[entry[0]]
+        if entry is None:
+            trunk.add(pair)
+    return trunk
+
+
+def test_the_trunk_stays_exact_through_cuts_and_restarts():
+    # Random witness reads, unions and push-backs on one session.  After each
+    # step the search's trunk is exactly the kept pairs that a walk up the
+    # back-pointers finds on it, and the trunk of a fresh search of the same
+    # view restricted to the kept pairs.
+    rng = random.Random(83)
+    outcomes = Counter()
+    for _ in range(40):
+        t = random_machine(rng, max_states=6)
+        for base in _machine_and_its_tree(t):
+            states = sorted(base.states)
+            session = open_session(QuotientView(base), states[0], states[0])
+            st, view = session.search, session.view
+            keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
+            unions = []
+
+            def check():
+                assert st._trunk == _walked_trunk(st)
+                fresh = _fresh_search(base, unions, view.outs)
+                assert st._trunk == fresh._trunk & st.reached.keys()
+                outcomes["past the root"] += len(st._trunk) > 1
+
+            for _ in range(12):
+                for _ in range(rng.randrange(4)):
+                    st.next_witness()
+                    check()
+                if rng.random() < 0.6 and len(states) > 1:
+                    a, b = rng.sample(states, 2)
+                    started = len(st._marks) if view.find(a) != view.find(b) else 0
+                    trunk = len(st._trunk)
+                    st.merge_update(a, b)
+                    unions.append((a, b))
+                    if started:
+                        kept = len(st._marks)
+                        if kept == 0:
+                            outcomes["restart"] += 1
+                        elif kept < started:
+                            outcomes["cut"] += 1
+                            outcomes["cut on the trunk"] += len(st._trunk) < trunk
+                else:
+                    key = rng.choice(keys)
+                    out = view.out(key)
+                    if out:
+                        outcomes["pushed"] += push_back(session, key, out[rng.randrange(len(out)):])
+                check()
+    assert outcomes["restart"] >= 100
+    assert outcomes["cut"] >= 100
+    assert outcomes["cut on the trunk"] >= 100
+    assert outcomes["pushed"] >= 20
+    assert outcomes["past the root"] >= 1000
+
+
 def brute_force_ambiguous(t: Transducer, max_len: int) -> bool:
     return any(
         len(accepting_paths(t, w)) > 1 for w in words_up_to(t.input_alphabet, max_len)
@@ -466,11 +530,27 @@ def _quotient_path(view, keys):
         Transition(view.find(k[0]), k[1], view.find(k[2]), view.out(k)) for k in keys))
 
 
+def _from_the_fork(witness):
+    """A witness without its longest leading run of equal raw keys."""
+    raw_a, raw_b = witness
+    k = 0
+    while k < len(raw_a) and raw_a[k] == raw_b[k]:
+        k += 1
+    return raw_a[k:], raw_b[k:]
+
+
+def _whole_witness(st):
+    """The witness of the event ``next_witness`` consumed last, walked from
+    the root pair."""
+    return st._build_witness(st.events[st._cursor - 1], whole=True)
+
+
 def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
     # Every witness a session's search hands out, after the unions and
-    # push-backs that earlier witnesses caused, is two sequences of raw keys
-    # that read one input, each chaining from the initial class to an
-    # accepting class through the view, and not one quotient path.
+    # push-backs that earlier witnesses caused, is the part from the fork of
+    # a whole witness: two sequences of raw keys that read one input, each
+    # chaining from the initial class to an accepting class through the view,
+    # and not one quotient path.
     next_witness = PairSearchState.next_witness
     seen = Counter()
 
@@ -478,9 +558,10 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
         witness = next_witness(self)
         if witness is not None:
             view = self.view
-            raw_a, raw_b = witness
+            whole = _whole_witness(self)
+            raw_a, raw_b = whole
             assert [k[1] for k in raw_a] == [k[1] for k in raw_b]
-            for side in witness:
+            for side in whole:
                 cls = view.initial_class()
                 for key in side:
                     assert key in view.outs  # a transition of the base
@@ -488,7 +569,9 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
                     cls = view.find(key[2])
                 assert view.class_accepting(cls)
             assert _quotient_path(view, raw_a) != _quotient_path(view, raw_b)
+            assert witness == _from_the_fork(whole)
             seen["witnesses"] += 1
+            seen["from a fork past the root"] += len(witness[0]) < len(raw_a)
             seen["after a push-back"] += any(
                 view.out(tr[:3]) != tr.out for tr in view.base.transitions)
         return witness
@@ -507,6 +590,7 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
     assert seen["witnesses"] >= 5000
     assert seen["on a cyclic base"] >= 100
     assert seen["after a push-back"] >= 25
+    assert seen["from a fork past the root"] >= 3000
 
 
 def test_first_witness_mapped_through_the_view_is_find_ambiguitys():
@@ -524,5 +608,7 @@ def test_first_witness_mapped_through_the_view_is_find_ambiguitys():
             assert witness is None
             continue
         ambiguous += 1
-        assert AmbiguousPathPair(*(_quotient_path(st.view, side) for side in witness)) == expected
+        whole = _whole_witness(st)
+        assert AmbiguousPathPair(*(_quotient_path(st.view, side) for side in whole)) == expected
+        assert witness == _from_the_fork(whole)
     assert ambiguous >= 20
