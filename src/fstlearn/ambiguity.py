@@ -74,28 +74,19 @@ tree as the two sides' raw keys; a caller reads classes and outputs through
 the view when it uses them, so push-backs applied after discovery are
 reflected faithfully.
 
-The trunk.  The trunk is the set of kept pairs whose back-pointer walk to the
-root takes the same raw key on both sides at every step; the root pair is on
-it, and every other trunk pair is a diagonal pair reached by one raw path
-taken twice.  An expansion of a trunk pair puts a child on it when it
-discovers the child through one edge taken twice, a restart leaves only the
-root pair, and a cut drops the trunk pairs it cuts, so the set stays exact.
-Walking up from any pair, the first trunk pair met is where the two sides of
-its walk fork: below it, the first step takes two different raw keys, since a
-pair discovered from a trunk pair through one edge taken twice is on the
-trunk, and the two edges of a reconverge event are distinct.
-
-Why a session's witness can start at the fork.  ``next_witness`` rebuilds a
-witness from the first trunk pair on its walk, not from the root pair, and
-so drops the longest leading run of positions where both sides take the same
-raw key; on the learner's workloads that run is most of a witness.  At such a
-position ``merge.unify_paths`` does nothing: the two sides leave and reach
-the same classes with the same output, so no push-back is made, no pair is
-queued, the root-asymmetry check cannot fire, and the position is already
-one quotient path.  Its other decisions compare a position only with the
-last one, which the shorter witness keeps, so every union and push-back it
-makes is the same.  ``find_ambiguity`` still walks from the root pair, since
-its paths must read a whole accepted input.
+Why a session's witness can start at the fork.  The fork of a witness is the
+first step of its walk down from the root pair whose two raw keys differ;
+every step before it takes one raw key twice, from a diagonal pair.  Every
+witness has a fork, since its last step takes two distinct edges.
+``next_witness`` drops the steps before the fork, which on the learner's
+workloads are most of a witness, and ``merge.unify_paths`` would do nothing
+at any of them: the two sides leave and reach the same classes with the same
+output, so no push-back is made, no pair is queued, the root-asymmetry check
+cannot fire, and the position is already one quotient path.  Its other
+decisions compare a position only with the last one, which the shorter
+witness keeps, so every union and push-back it makes is the same.
+``find_ambiguity`` keeps the whole walk, since its paths must read a whole
+accepted input.
 """
 
 from __future__ import annotations
@@ -340,10 +331,6 @@ class AmbiguousPathPair:
             raise InvariantError("witness paths are identical")
 
 
-def _pair(x: int, y: int) -> tuple[int, int]:
-    return (x, y) if x <= y else (y, x)
-
-
 class PairSearchState:
     """Reachable unordered class pairs of the squared machine and pending
     witness events.
@@ -363,9 +350,7 @@ class PairSearchState:
     union changed, so ``merge_update`` cuts the search back to there (see the
     module docstring).  Every back-pointer of a kept pair points to a pair
     with a smaller index, so the back-pointers form a tree and a walk up from
-    any pair reaches the root in at most ``len(reached)`` steps.  ``_trunk``
-    is exactly the set of kept pairs whose walk up takes equal raw keys on
-    both sides at every step, the root pair among them.
+    any pair reaches the root in at most ``len(reached)`` steps.
     """
 
     def __init__(self, view: QuotientView):
@@ -373,7 +358,7 @@ class PairSearchState:
         self._restart()
 
     def _restart(self) -> None:
-        root = _pair(self.view.initial_class(), self.view.initial_class())
+        root = (self.view.initial_class(),) * 2
         self.reached: dict[tuple[int, int], Optional[tuple]] = {root: None}
         self.events: list[tuple] = []
         self._cursor = 0
@@ -381,7 +366,6 @@ class PairSearchState:
         self._first = {root[0]: 0}  # class -> index of the first pair holding it
         self._marks: list[tuple[int, int]] = []
         self._paused = None  # the started expansion, until it has run out
-        self._trunk = {root}
 
     # -- exploration ------------------------------------------------------
 
@@ -411,7 +395,6 @@ class PairSearchState:
         view, reached, events, keys, first = (
             self.view, self.reached, self.events, self._keys, self._first)
         accepting = view.class_accepting
-        trunk = self._trunk if pair in self._trunk else None
         p, q = pair
         edges_p = view.edges_from(p)
         edges_q = edges_p if p == q else view.edges_from(q)
@@ -431,8 +414,6 @@ class PairSearchState:
                 child = (d1, d2) if d1 <= d2 else (d2, d1)
                 if child not in reached:
                     reached[child] = (pair, sym, raw1, raw2)
-                    if e2 is e1 and trunk is not None:
-                        trunk.add(child)
                     first.setdefault(d1, len(keys))
                     first.setdefault(d2, len(keys))
                     keys.append(child)
@@ -463,11 +444,10 @@ class PairSearchState:
         """Drop the k-th expansion and every later one, with what they
         discovered and the events they appended."""
         size, n_events = self._marks[k]
-        reached, keys, first, trunk = self.reached, self._keys, self._first, self._trunk
+        reached, keys, first = self.reached, self._keys, self._first
         for index in range(len(keys) - 1, size - 1, -1):
             pair = keys[index]
             del reached[pair]
-            trunk.discard(pair)
             for c in pair:
                 if first.get(c) == index:
                     del first[c]
@@ -478,22 +458,24 @@ class PairSearchState:
 
     # -- witness extraction -------------------------------------------------
 
-    def _thread(self, pair, last: Optional[tuple] = None,
-                whole: bool = False) -> tuple[list, list]:
+    def _thread(self, step: tuple, whole: bool = False) -> tuple[list, list]:
         """The raw keys of the two sides of the walk down the back-pointer
-        tree to ``pair``, then along ``last`` (symbol, raw key, raw key) if
-        given.  The walk starts at the last trunk pair on the way, where the
-        two sides fork, or at the root pair if ``whole``."""
-        steps = [] if last is None else [last]
-        start = (self._keys[0],) if whole else self._trunk
+        tree from the root pair that ends with ``step``, a back-pointer
+        (parent pair, symbol, raw key, raw key).  Unless ``whole``, the walk
+        starts at its fork: the leading steps that take one raw key on both
+        sides are dropped."""
+        steps = []
         reached = self.reached
-        while pair not in start:
-            pair, *step = reached[pair]
+        while step is not None:
             steps.append(step)
+            step = reached[step[0]]
+        if not whole:
+            while steps[-1][2] == steps[-1][3]:
+                steps.pop()
         find = self.view.find
-        sa = pair[0]
+        sa = find(steps[-1][2][0])  # the first step leaves one class twice
         side_a, side_b = [], []
-        for _, raw1, raw2 in reversed(steps):
+        for _, _, raw1, raw2 in reversed(steps):
             if find(raw1[0]) != sa:
                 raw1, raw2 = raw2, raw1
             side_a.append(raw1)
@@ -532,12 +514,12 @@ class PairSearchState:
 
     def _build_witness(self, event, whole: bool = False) -> Optional[tuple[list, list]]:
         if event[0] == "accept":
-            return self._thread(event[1], whole=whole)
-        _, parent, sym, raw1, raw2 = event
-        ext = self._acceptance_extension(self.view.find(raw1[2]))
+            return self._thread(self.reached[event[1]], whole)
+        ext = self._acceptance_extension(self.view.find(event[3][2]))
         if ext is None:
             return None
-        side_a, side_b = self._thread(parent, (sym, raw1, raw2), whole=whole)
+        # (pair, symbol, raw key, raw key): the step the event's edges take
+        side_a, side_b = self._thread(event[1:], whole)
         return side_a + ext, side_b + ext
 
     def next_witness(self) -> Optional[tuple[list, list]]:

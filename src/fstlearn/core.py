@@ -318,10 +318,8 @@ def validate(t: Transducer) -> list[Violation]:
     return report
 
 
-def renumber(t: Transducer, order: Optional[list[int]] = None) -> Transducer:
-    """Relabel states as 0..n-1 following ``order`` (default: sorted ids)."""
-    if order is None:
-        order = sorted(t.states)
+def renumber(t: Transducer, order: list[int]) -> Transducer:
+    """Relabel states as 0..n-1 following ``order``."""
     mapping = {q: i for i, q in enumerate(order)}
     return Transducer(
         range(len(order)),

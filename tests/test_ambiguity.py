@@ -437,70 +437,6 @@ def test_merge_update_keeps_an_exact_prefix_of_a_fresh_search():
     assert outcomes["pushed"] >= 20
 
 
-def _walked_trunk(st):
-    """The reached pairs whose back-pointer walk to the root takes equal raw
-    keys on both sides at every step, found by walking it."""
-    trunk = set()
-    for pair, entry in st.reached.items():
-        while entry is not None and entry[2] == entry[3]:
-            entry = st.reached[entry[0]]
-        if entry is None:
-            trunk.add(pair)
-    return trunk
-
-
-def test_the_trunk_stays_exact_through_cuts_and_restarts():
-    # Random witness reads, unions and push-backs on one session.  After each
-    # step the search's trunk is exactly the kept pairs that a walk up the
-    # back-pointers finds on it, and the trunk of a fresh search of the same
-    # view restricted to the kept pairs.
-    rng = random.Random(83)
-    outcomes = Counter()
-    for _ in range(40):
-        t = random_machine(rng, max_states=6)
-        for base in _machine_and_its_tree(t):
-            states = sorted(base.states)
-            session = open_session(QuotientView(base), states[0], states[0])
-            st, view = session.search, session.view
-            keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
-            unions = []
-
-            def check():
-                assert st._trunk == _walked_trunk(st)
-                fresh = _fresh_search(base, unions, view.outs)
-                assert st._trunk == fresh._trunk & st.reached.keys()
-                outcomes["past the root"] += len(st._trunk) > 1
-
-            for _ in range(12):
-                for _ in range(rng.randrange(4)):
-                    st.next_witness()
-                    check()
-                if rng.random() < 0.6 and len(states) > 1:
-                    a, b = rng.sample(states, 2)
-                    started = len(st._marks) if view.find(a) != view.find(b) else 0
-                    trunk = len(st._trunk)
-                    st.merge_update(a, b)
-                    unions.append((a, b))
-                    if started:
-                        kept = len(st._marks)
-                        if kept == 0:
-                            outcomes["restart"] += 1
-                        elif kept < started:
-                            outcomes["cut"] += 1
-                            outcomes["cut on the trunk"] += len(st._trunk) < trunk
-                else:
-                    key = rng.choice(keys)
-                    out = view.out(key)
-                    if out:
-                        outcomes["pushed"] += push_back(session, key, out[rng.randrange(len(out)):])
-                check()
-    assert outcomes["restart"] >= 100
-    assert outcomes["cut"] >= 100
-    assert outcomes["cut on the trunk"] >= 100
-    assert outcomes["pushed"] >= 20
-    assert outcomes["past the root"] >= 1000
-
-
 def brute_force_ambiguous(t: Transducer, max_len: int) -> bool:
     return any(
         len(accepting_paths(t, w)) > 1 for w in words_up_to(t.input_alphabet, max_len)
@@ -572,6 +508,7 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
             assert witness == _from_the_fork(whole)
             seen["witnesses"] += 1
             seen["from a fork past the root"] += len(witness[0]) < len(raw_a)
+            seen["from the root pair"] += len(witness[0]) == len(raw_a)
             seen["after a push-back"] += any(
                 view.out(tr[:3]) != tr.out for tr in view.base.transitions)
         return witness
@@ -591,6 +528,7 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
     assert seen["on a cyclic base"] >= 100
     assert seen["after a push-back"] >= 25
     assert seen["from a fork past the root"] >= 3000
+    assert seen["from the root pair"] >= 1000
 
 
 def test_first_witness_mapped_through_the_view_is_find_ambiguitys():

@@ -388,8 +388,12 @@ def test_renumber_preserves_relation():
     rng = random.Random(19)
     for _ in range(10):
         t = random_machine(rng, max_states=4)
-        r = renumber(t)
+        order = sorted(t.states)
+        rng.shuffle(order)
+        r = renumber(t, order)
         assert r.states == frozenset(range(len(t.states)))
+        assert r.initial == order.index(t.initial)
+        assert r.accepting == {order.index(q) for q in t.accepting}
         for word in words_up_to(t.input_alphabet, 4):
             assert transduce(t, word) == transduce(r, word)
 
