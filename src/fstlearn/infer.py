@@ -58,10 +58,11 @@ def infer(
     the cascade folded), so the outer loop only ever visits survivors.  The
     hypothesis is one quotient view of the prefix tree: every attempt runs on
     it and reads only what it changes, and it is materialized once, at the
-    end.  An attempt gives up after 200 + 20 × (prefix-tree edges) witnesses.
-    The outer loop runs at most ``max_merge_passes`` times, and stops after a
-    pass that commits nothing.  ``trace``, if given, gets one dict per attempt
-    (see ``try_merge``).
+    end.  An attempt reads at most |Q| + Σ|w|·|f(w)| witnesses, Q being the
+    prefix tree's states and the sum running over the samples (w, f(w)); the
+    ``merge`` module docstring proves it.  The outer loop runs at most
+    ``max_merge_passes`` times, and stops after a pass that commits nothing.
+    ``trace``, if given, gets one dict per attempt (see ``try_merge``).
     """
     if max_merge_passes < 1:
         raise ConfigurationError("max_merge_passes must be at least 1")

@@ -2,12 +2,42 @@
 merges, and commit or roll back.
 
 The hypothesis is a quotient view of the prefix tree (a class map and one
-table of current outputs) that lasts the whole run.  An attempt unions classes and writes
-outputs on it directly; a rejection rolls the view back to where the attempt
-began (``QuotientView.rollback``), and a commit checks and keeps what it
-changed; no step reads the whole hypothesis.  An attempt gives up after
-200 + 20 × E witnesses, E being the number of prefix-tree edges, at most the
-total input length of the samples.
+table of current outputs) that lasts the whole run.  An attempt unions classes
+and writes outputs on it directly; a rejection rolls the view back to where
+the attempt began (``QuotientView.rollback``), and a commit checks and keeps
+what it changed; no step reads the whole hypothesis.
+
+Why a session ends.  On a prefix-tree base with states Q, built from samples
+(w, f(w)), a session reads at most |Q| + Σ|w|·|f(w)| witnesses:
+
+- Every witness that ``unify_paths`` accepts makes a union or a push-back.
+  Its two sides start at one class and are not one quotient path, so at the
+  first position where their quotient edges differ they leave one class on
+  one symbol and differ in output or in destination class.  A different
+  output is a push-back or a rejection.  A different destination queues a
+  pair of distinct classes; the queue is empty when a witness is read, so the
+  first pair it queued is still distinct when it is popped, and is unioned.
+  ``run_session`` checks this step on every witness, and raises
+  ``InvariantError`` on one that did neither.
+- Unions per session are at most |Q| − 1: each one lowers the number of
+  classes.
+- Push-backs per session are at most Σ|w|·|f(w)|.  Every tree edge lies on
+  the path of some sample, since the tree grows a node only where a sample
+  runs, and each sample's path reads f(w) in the current outputs: a
+  push-back moves its suffix off every edge into its target class onto the
+  front of every edge out of it, and a sample's path that enters the class
+  leaves it again, since the class is not accepting, and does not start in
+  it, since the class does not hold the root.  Let Ψ be the sum, over the
+  samples, of the tree depth of the edge that carries each character of f(w)
+  on w's path.  A push-back moves the characters of its suffix one edge
+  deeper on every path through the edge it cuts, and there is at least one,
+  so it raises Ψ by at least 1; a union changes no output.  No edge of w's
+  path is deeper than |w|, so Ψ never exceeds Σ|w|·|f(w)|.
+
+So the witnesses of a session number at most its unions plus its push-backs
+plus one, the last, which ``unify_paths`` may reject.  This is the
+termination argument of OSTIA's onward merges, where every push moves output
+away from the root (Oncina, García & Vidal, IEEE PAMI 15(5), 1993).
 """
 
 from __future__ import annotations
@@ -22,7 +52,6 @@ from .errors import InvariantError
 ROOT_ASYMMETRY = "root_asymmetry"
 PUSHBACK_BLOCKED = "pushback_blocked"
 OUTPUT_CONFLICT = "output_conflict"
-SESSION_CAP = "session_cap"
 
 
 @dataclass
@@ -44,8 +73,11 @@ class MergeSession:
 
 def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
     """Cut ``suffix`` off the edge's output and prepend it to every outgoing
-    transition of the edge's target.  Refused when the target is accepting or
-    has more than one incoming quotient edge."""
+    transition of the edge's target.  Refused when the target is accepting,
+    holds the base machine's initial state, or has more than one incoming
+    quotient edge.  A push-back into the initial class would prepend
+    ``suffix`` to every output of the hypothesis: a run starts in that class
+    without taking an edge that the push-back cuts."""
     if suffix == "":
         return True
     view = session.view
@@ -53,7 +85,7 @@ def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
     if not out.endswith(suffix):
         raise InvariantError(f"push-back of {suffix!r} off output {out!r}")
     dst_cls = view.find(raw_key[2])
-    if view.class_accepting(dst_cls):
+    if view.class_accepting(dst_cls) or dst_cls == view.initial_class():
         return False
     if len(view.incoming_edges(dst_cls)) != 1:
         return False
@@ -133,11 +165,10 @@ def run_session(session: MergeSession) -> bool:
     """Drive a session to its fixpoint.  True means the merge is consistent
     and the session can be committed; False leaves ``session.failure`` set.
 
-    A session gives up after 200 + 20 × E witnesses, E being the number of
-    edges of the view's base machine, the prefix tree in learning."""
+    Every witness that ``unify_paths`` accepts must make a push-back or queue
+    a pair of distinct classes, else ``InvariantError``: this is the step of
+    the module docstring's bound that a witness can break."""
     view = session.view
-    witness_cap = 200 + 20 * len(view.base.transitions)
-    seen = 0
     while True:
         while session.pending:
             x, y = session.pending.popleft()
@@ -147,12 +178,11 @@ def run_session(session: MergeSession) -> bool:
         witness = session.search.next_witness()
         if witness is None:
             return True
-        seen += 1
-        if seen > witness_cap:
-            session.failure = SESSION_CAP
-            return False
+        push_backs = session.push_backs
         if not unify_paths(session, *witness):
             return False
+        if session.push_backs == push_backs and not session.pending:
+            raise InvariantError("a witness made no push-back and queued no union")
 
 
 def commit(session: MergeSession) -> None:

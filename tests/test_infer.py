@@ -93,6 +93,20 @@ def test_infer_consistency_on_battery():
             assert transduce(model.machine, inp) == {out}, (name, inp)
 
 
+def test_infer_reproduces_samples_where_a_push_back_into_the_initial_class_fits():
+    # The commit (0, 3) puts the root in one class with 3, whose one incoming
+    # edge is 1 -a/xx-> 3.  The attempt (1, 8) would push an "x" of that edge
+    # onto every edge leaving the class, so every output would gain a leading
+    # x and still commit; push_back refuses it, and the attempt is rejected.
+    samples = [("a", ""), ("aaa", "xx"), ("bba", "yy"), ("aaaa", "xxx"),
+               ("baaa", "yxx"), ("bbaa", "yyx"), ("bbaaa", "yyxx")]
+    trace = []
+    model = infer(samples, trace=trace.append)
+    for inp, out in samples:
+        assert transduce(model.machine, inp) == {out}, inp
+    assert {"kind": "merge_rejected", "pair": (1, 8), "reason": "pushback_blocked"} in trace
+
+
 def test_infer_epsilon_output_side_channel():
     model = infer([("", ""), ("a", "x"), ("aa", "xx")])
     assert model.epsilon_output == ""

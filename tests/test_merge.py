@@ -13,7 +13,6 @@ from fstlearn.infer import infer, split_epsilon, state_order
 from fstlearn.merge import (
     OUTPUT_CONFLICT,
     ROOT_ASYMMETRY,
-    SESSION_CAP,
     commit,
     open_session,
     push_back,
@@ -244,6 +243,22 @@ def test_pushback_blocked_on_multiple_incoming():
     assert not push_back(session, (0, "a", 1), "y")
 
 
+def test_pushback_blocked_on_the_initial_class():
+    # Tree: 0 -a/xyy-> 1 -b-> 3 -a-> 5 and 0 -a/yy-> 2 -a-> 4 -a-> 6.  With 0
+    # and 2 one class, the edge into 2 is the class's one incoming edge, but
+    # pushing its "yy" onto every edge leaving the class would make aba read
+    # yyxyy: the run of aba starts in the class without taking that edge.
+    tree, _ = tree_of([("aaa", "yy"), ("aba", "xyy")])
+    assert (0, "a", 2, "yy") in tree.transitions
+    session = _session_for(tree, 0, 2)
+    view = session.view
+    assert len(view.incoming_edges(view.find(2))) == 1
+    assert not push_back(session, (0, "a", 2), "yy")
+    assert session.push_backs == 0
+    aba = [(0, "a", 1), (1, "b", 3), (3, "a", 5)]
+    assert "".join(view.out(key) for key in aba) == "xyy"
+    assert view.outs == {key[:3]: key[3] for key in tree.transitions}
+
 
 # -- one view across attempts --------------------------------------------------
 
@@ -379,15 +394,12 @@ def test_a_push_back_rebuilds_each_written_class_list_once(monkeypatch):
     assert seen["more writes than classes"] >= 100
 
 
-def test_a_session_gives_up_after_the_witness_cap_of_its_hypothesis(monkeypatch):
-    # The cap counts the edges of the prefix tree, which bounds every
-    # hypothesis: an earlier commit that made the hypothesis smaller than the
-    # tree leaves it as it was.
+def test_a_session_refuses_a_witness_that_makes_no_progress(monkeypatch):
+    # Every witness that unify_paths accepts must make a push-back or queue a
+    # union; that bounds a session's witnesses, so the first one that does
+    # neither stops the session instead of looping.
     tree, _ = tree_of([("a", "x"), ("aa", "xx"), ("aaa", "xxx"), ("b", "y"), ("ba", "yx")])
     view = QuotientView(tree)
-    assert try_merge(view, 0, 1) is not None
-    edges = len(view.materialize().transitions)
-    assert edges < len(tree.transitions)
     witnesses = 0
 
     def one_witness(self):
@@ -398,9 +410,75 @@ def test_a_session_gives_up_after_the_witness_cap_of_its_hypothesis(monkeypatch)
     monkeypatch.setattr(PairSearchState, "next_witness", one_witness)
     monkeypatch.setattr(merge_module, "unify_paths", lambda session, raw_a, raw_b: True)
     session = open_session(view, 0, 4)
-    assert not run_session(session)
-    assert session.failure == SESSION_CAP
-    assert witnesses == 201 + 20 * len(tree.transitions)
+    with pytest.raises(InvariantError, match="no push-back and queued no union"):
+        run_session(session)
+    assert witnesses == 1
+
+
+def _psi_weights(tree):
+    """For each edge of the prefix tree ``tree``, its depth times the number
+    of samples whose path takes it: Ψ of the merge module's bound is the sum
+    of weight times current output length over the edges."""
+    depth, below = {tree.initial: 0}, {q: int(q in tree.accepting) for q in tree.states}
+    edges = sorted(tree.transitions, key=lambda t: t[2])  # a child's id exceeds its parent's
+    for src, _, dst, _ in edges:
+        depth[dst] = depth[src] + 1
+    for src, _, dst, _ in reversed(edges):
+        below[src] += below[dst]
+    return {(src, sym, dst): depth[dst] * below[dst] for src, sym, dst, _ in edges}
+
+
+def test_a_session_reads_no_more_witnesses_than_the_bound_allows(monkeypatch):
+    # The bound of the merge module's docstring, step by step, on learns that
+    # push back: a session's witnesses number at most its unions plus its
+    # push-backs plus one, every applied push-back raises Ψ, and Ψ stays
+    # within Σ|w|·|f(w)|.
+    real_run, real_unify, real_push = (
+        merge_module.run_session, merge_module.unify_paths, merge_module.push_back)
+    tree, weights, budget, witnesses = None, {}, 0, 0
+    seen = Counter()
+
+    def psi(view):
+        return sum(weight * len(view.out(key)) for key, weight in weights.items())
+
+    def counted(session, raw_a, raw_b):
+        nonlocal witnesses
+        witnesses += 1
+        return real_unify(session, raw_a, raw_b)
+
+    def checked_push(session, raw_key, suffix):
+        before = psi(session.view)
+        applied = real_push(session, raw_key, suffix)
+        if applied and suffix:
+            assert before < psi(session.view) <= budget
+        return applied
+
+    def checked_run(session):
+        nonlocal tree, weights, witnesses
+        if session.view.base is not tree:
+            tree = session.view.base
+            weights = _psi_weights(tree)
+            assert psi(session.view) <= budget
+        witnesses = 0
+        merged = real_run(session)
+        assert witnesses <= session.forced + session.push_backs + 1
+        seen["sessions"] += 1
+        seen["push-backs"] += session.push_backs
+        seen["most push-backs"] = max(seen["most push-backs"], session.push_backs)
+        # the root union comes with no witness, so the bound is nearly tight
+        seen["one below the bound"] += witnesses == session.forced + session.push_backs
+        return merged
+
+    monkeypatch.setattr(merge_module, "run_session", checked_run)
+    monkeypatch.setattr(merge_module, "unify_paths", counted)
+    monkeypatch.setattr(merge_module, "push_back", checked_push)
+    for samples in _partial_informants(seed=23, per_kind=40):
+        budget = sum(len(w) * len(out) for w, out in split_epsilon(samples)[0].items())
+        infer(samples)
+    assert seen["sessions"] >= 1500
+    assert seen["push-backs"] >= 150
+    assert seen["most push-backs"] >= 4
+    assert seen["one below the bound"] >= 1000
 
 
 def _parallel_edges(edges):
