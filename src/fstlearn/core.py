@@ -15,6 +15,12 @@ rest of its pending output (the residual outputs of Mohri's determinisation,
 dropped whenever what it holds outgrows the input.  For runs of bounded delay
 a call is thus linear in the lengths of the input and the output.
 
+Construction removes duplicate transition records in input order, sorts once
+and makes the records ``Transition`` values in C.  The closure constructions
+and ``infer`` pass lists that are sorted or nearly so; kept in that order,
+they are long sorted runs, which the sort merges in about one comparison per
+record, where a set would scramble them first.
+
 Trimming (``trim``) keeps the states found by one forward walk from the
 initial state and one backward walk from the accepting states
 (``live_part``, which the closure constructions also use to cut their edges
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import AlphabetError
@@ -66,6 +73,10 @@ class Transducer:
     not enforced on construction so that malformed machines can be reported).
     Construction canonicalises the records it is given: duplicates collapse,
     and their order and type (tuple, list or ``Transition``) do not matter.
+    ``dict.fromkeys`` drops the duplicates in input order, one sort orders
+    what is left, and ``tuple.__new__`` mapped over it makes the
+    ``Transition`` records without a Python call per record.  A record
+    without exactly four fields raises ``TypeError``.
 
     The adjacency that ``arcs_from``, ``configuration_after`` and the subset
     walk of ``transform`` read is built on the first such walk, not on
@@ -94,7 +105,11 @@ class Transducer:
         accepting: Iterable[int],
         transitions: Iterable[tuple],
     ):
-        records = tuple(map(Transition._make, sorted(set(map(tuple, transitions)))))
+        records = list(dict.fromkeys(map(tuple, transitions)))
+        if set(map(len, records)) - {4}:
+            raise TypeError("a transition record has four fields: src, symbol, dst, out")
+        records.sort()
+        records = tuple(map(tuple.__new__, repeat(Transition), records))
         object.__setattr__(self, "states", frozenset(states))
         object.__setattr__(self, "input_alphabet", frozenset(input_alphabet))
         object.__setattr__(self, "output_alphabet", frozenset(output_alphabet))

@@ -2,8 +2,9 @@
 
 Like ``fstlearn.oracle``, these are deliberately naive and share no code path
 with the learner: the pair derivative of a sample, the star machine with
-one arm per sample pair, the pair search after a list of unions, a learner
-that enumerates every machine structure and solves its outputs, and the first
+one arm per sample pair, the pair search after a list of unions, the same
+search by a plain product scan of each pair's edges, a learner that
+enumerates every machine structure and solves its outputs, and the first
 bounded LPP check, against which the oracle's faster one is cross-checked.
 """
 
@@ -67,6 +68,35 @@ def square_reach_after(t: Transducer, unions: Iterable[tuple[int, int]]) -> Pair
     st.explore()
     view.keep()
     return st
+
+
+def square_reach_by_scan(view: QuotientView) -> tuple[dict, list]:
+    """The reached pairs, with their back-pointers, and the events of a pair
+    search of ``view`` explored to the end, by the plain product scan: for
+    each edge of a pair's first class, every edge of its second class (of
+    the first, from that edge on, for a self pair) that has its symbol."""
+    root = (view.initial_class(),) * 2
+    reached = {root: None}
+    events = []
+    queue = [root]
+    for pair in queue:  # appended to while walked: a breadth-first queue
+        p, q = pair
+        edges_p, edges_q = view.edges_from(p), view.edges_from(q)
+        for i, e1 in enumerate(edges_p):
+            sym, d1, _, raw1 = e1
+            for e2 in edges_p[i:] if p == q else edges_q:
+                if e2[0] != sym:
+                    continue
+                _, d2, _, raw2 = e2
+                if d1 == d2 and e2 != e1:
+                    events.append(("reconverge", pair, sym, raw1, raw2))
+                child = (min(d1, d2), max(d1, d2))
+                if child not in reached:
+                    reached[child] = (pair, sym, raw1, raw2)
+                    queue.append(child)
+                    if d1 != d2 and view.class_accepting(d1) and view.class_accepting(d2):
+                        events.append(("accept", child))
+    return reached, events
 
 
 # -- enumeration learner ----------------------------------------------------

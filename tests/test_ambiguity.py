@@ -20,7 +20,7 @@ from fstlearn.oracle import accepting_paths, words_up_to
 from fstlearn.ptree import build_prefix_tree
 
 from machines import random_machine
-from reference import square_reach_after
+from reference import square_reach_after, square_reach_by_scan
 
 
 def test_deterministic_chain_reaches_only_diagonal():
@@ -435,6 +435,34 @@ def test_merge_update_keeps_an_exact_prefix_of_a_fresh_search():
     assert outcomes["cut"] >= 70
     assert outcomes["kept"] >= 30
     assert outcomes["pushed"] >= 20
+
+
+def test_pair_search_reads_edge_pairs_in_product_scan_order():
+    """The search, with its paused expansions, reaches the pairs of a plain
+    product scan, in its order and with its back-pointers, and appends its
+    events; on machines over three symbols where some classes lack some
+    symbols, with and without unions.  A faster scan of the edge lists must
+    keep this order."""
+    rng = random.Random(71)
+    skipped = self_pairs = 0
+    for _ in range(80):
+        t = random_machine(rng, max_states=7, sigma="abc")
+        states = sorted(t.states)
+        unions = [tuple(rng.sample(states, 2)) for _ in range(rng.randint(1, 3))
+                  if len(states) > 1]
+        for st in (square_reach(t), square_reach_after(t, unions)):
+            reached, events = square_reach_by_scan(st.view)
+            assert list(st.reached.items()) == list(reached.items())
+            assert st.events == events
+            for p, q in st.reached:
+                syms_p = {e[0] for e in st.view.edges_from(p)}
+                syms_q = {e[0] for e in st.view.edges_from(q)}
+                skipped += p != q and any(s < max(syms_p, default="") for s in syms_q - syms_p)
+                self_pairs += p == q and len(st.view.edges_from(p)) > len(syms_p)
+    # the second class has an edge on a symbol the first lacks, below one it
+    # has, which a scan must skip; a self pair has two edges on one symbol
+    assert skipped >= 100
+    assert self_pairs >= 100
 
 
 def brute_force_ambiguous(t: Transducer, max_len: int) -> bool:

@@ -98,7 +98,10 @@ def test_construction_canonicalises_its_transition_records():
         t = random_machine(rng)
         records = [tuple(tr) for tr in t.transitions]
         args = (t.states, t.input_alphabet, t.output_alphabet, t.initial, t.accepting)
-        doubled = records + rng.sample(records, rng.randint(1, len(records)))
+        again = rng.sample(records, rng.randint(1, len(records)))
+        # the shape the closures pass in: sorted, with duplicates further on
+        nearly_sorted = sorted(records) + sorted(again)
+        doubled = records + again
         rng.shuffle(doubled)
         variants = [
             doubled,
@@ -106,6 +109,7 @@ def test_construction_canonicalises_its_transition_records():
             [Transition(*r) for r in doubled],
             iter(doubled),
             tuple(reversed(doubled)),
+            nearly_sorted,
         ]
         for variant in variants:
             built = Transducer(*args, variant)
@@ -113,6 +117,9 @@ def test_construction_canonicalises_its_transition_records():
             assert type(built.transitions) is tuple
             assert all(type(tr) is Transition for tr in built.transitions)
             assert list(built.transitions) == sorted(set(records))
+            for tr, r in zip(built.transitions, sorted(set(records))):
+                assert tr == Transition(*r)
+                assert (tr.src, tr.symbol, tr.dst, tr.out) == r
         for q in t.states | {max(t.states) + 1}:
             scan = [(tr.symbol, tr.dst, tr.out) for tr in t.transitions if tr.src == q]
             assert t.arcs_from(q) == scan
