@@ -432,8 +432,18 @@ class PairSearchState:
                     yield True
 
     def explore(self) -> None:
-        while self._advance():
-            pass
+        """Run the search to the end: finish the paused expansion, then start
+        each later one and run it to its end in a plain loop, with no pause
+        per event."""
+        marks, keys = self._marks, self._keys
+        while True:
+            if self._paused is not None:
+                for _ in self._paused:
+                    pass
+                self._paused = None
+            if len(marks) == len(keys):
+                return
+            self.expand_one()
 
     def merge_update(self, a: int, b: int) -> None:
         """Merge the classes of ``a`` and ``b`` and cut the search back to the

@@ -3,9 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fstlearn.core import Transducer, transduce, trim
+from fstlearn.core import Transducer, lcp, transduce, trim
 from fstlearn.oracle import words_up_to
-from fstlearn.ptree import lcp
 
 from reference import derivative
 

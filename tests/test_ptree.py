@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fstlearn.core import Transducer, transduce
+from fstlearn.core import Transducer, lcp, transduce
 from fstlearn.errors import InconsistencyError
 from fstlearn.oracle import (
     check_ambiguous_up_to,
@@ -17,7 +17,7 @@ from fstlearn.oracle import (
     generate_informant,
     words_up_to,
 )
-from fstlearn.ptree import build_prefix_tree, lcp
+from fstlearn.ptree import build_prefix_tree
 
 from machines import BATTERY, NONDET_EXAMPLE, random_deterministic_total
 from reference import alphabets, build_star, derivative
@@ -251,8 +251,9 @@ def test_tree_states_are_numbered_in_order():
 
 def test_tree_keeps_no_residuals():
     # everything the build returns stays alive while the memory is read: the
-    # tree and the prefixes cost a few hundred bytes per node, while keeping
-    # every node's residual relation would cost about 1.6 kB per node here
+    # tree and the prefixes cost a few hundred bytes per node; a residual is a
+    # list of references to the sample's own pairs, so keeping every node's
+    # residual as well would add about 0.2 kB per node here
     rotation = next(t for name, t, _ in BATTERY if name == "rotation")
     s = dict(generate_informant(rotation, 8))
     tracemalloc.start()
@@ -371,10 +372,25 @@ def test_prefix_tree_matches_the_reference_builder(s):
     assert error == expected_error
     if expected is None:
         return
-    (tree, prefixes), (ref, ref_prefixes) = got, expected
-    assert tree.states == ref.states
-    assert tree.transitions == ref.transitions
-    assert tree.accepting == ref.accepting
-    # a node's residual is the relation of its subtree, so equal trees with
-    # equal prefixes have equal residuals too
-    assert prefixes == ref_prefixes
+    # whole machines: the alphabets, read off the tree's edges, are those of
+    # the sample; a node's residual is the relation of its subtree, so equal
+    # trees with equal prefixes have equal residuals too
+    assert got == expected
+
+
+def _battery_informants():
+    """Full informants of the battery targets at L = 6 and 7, and a seeded
+    80 % of each."""
+    rng = random.Random(47)
+    for name, target, _ in BATTERY:
+        for length in (6, 7):
+            informant = dict(generate_informant(target, length))
+            yield f"{name} L={length}", informant
+            yield f"{name} L={length} 80 %", {
+                inp: out for inp, out in informant.items() if rng.random() < 0.8
+            }
+
+
+def test_prefix_tree_matches_the_reference_builder_on_battery_informants():
+    for label, s in _battery_informants():
+        assert build_prefix_tree(s) == reference_prefix_tree(s), label
