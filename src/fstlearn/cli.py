@@ -171,7 +171,7 @@ def cmd_learn(args) -> int:
     with open(args.samples, "r", encoding="utf-8") as fh:
         pairs = parse_samples(fh.read())
     trace = _echo_attempt if args.trace else None
-    model = infer(pairs, max_merge_passes=args.max_passes, trace=trace)
+    model = infer(pairs, trace=trace)
     text = serialize_machine(model.machine, model.epsilon_output)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples")
     p.add_argument("output")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--max-passes", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_learn)
 
     p = sub.add_parser("eval", help="run a machine on one input")

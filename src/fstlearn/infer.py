@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Optional
 
 from .ambiguity import QuotientView
 from .core import Transducer, renumber, trim
-from .errors import ConfigurationError, ConflictError
+from .errors import ConflictError
 from .merge import try_merge
 from .ptree import build_prefix_tree
 
@@ -47,45 +47,43 @@ def state_order(prefixes: list[tuple[str, str]]) -> list[int]:
 
 def infer(
     samples: Iterable[tuple[str, str]],
-    max_merge_passes: int = 1,
     trace: Optional[Callable[[dict], None]] = None,
 ) -> LearnedModel:
-    """Learn a transducer consistent with every sample.
+    """Learn a transducer consistent with every sample, in one pass of merge
+    attempts.
 
-    The outer loop walks prefix-tree states in length-lexicographic order;
-    for each, the inner loop retries every earlier surviving state until a
-    merge commits.  A committed merge deletes the outer state (and any states
-    the cascade folded), so the outer loop only ever visits survivors.  The
-    hypothesis is one quotient view of the prefix tree: every attempt runs on
-    it and reads only what it changes, and it is materialized once, at the
-    end.  An attempt reads at most |Q| + Σ|w|·|f(w)| witnesses, Q being the
-    prefix tree's states and the sum running over the samples (w, f(w)); the
-    ``merge`` module docstring proves it.  The outer loop runs at most
-    ``max_merge_passes`` times, and stops after a pass that commits nothing.
-    ``trace``, if given, gets one dict per attempt (see ``try_merge``).
+    The outer loop walks prefix-tree states in length-lexicographic order of
+    their prefixes (``state_order``).  For each surviving state, the inner
+    loop walks the same order from its start and tries each surviving state
+    until a merge commits; it stops at the first state whose id is not
+    smaller than the outer state's.  Ids follow the breadth-first build, not
+    ``order``, so a state earlier in ``order`` with a larger id is never
+    tried (ROADMAP item 3, step 1).  The root, ``order[0]``, tries nothing.
+    A committed merge deletes the outer state (and any states the cascade
+    folded), so the outer loop only ever visits survivors.  The hypothesis
+    is one quotient view of the prefix tree: every attempt runs on it and
+    reads only what it changes, and it is materialized once, at the end.
+    With Q the prefix tree's states, the pass makes at most |Q|(|Q|−1)/2
+    attempts, and an attempt reads at most |Q| + Σ|w|·|f(w)| witnesses, the
+    sum running over the samples (w, f(w)); the ``merge`` module docstring
+    proves it.  ``trace``, if given, gets one dict per attempt (see
+    ``try_merge``).
     """
-    if max_merge_passes < 1:
-        raise ConfigurationError("max_merge_passes must be at least 1")
     rest, eps = split_epsilon(samples)
     tree, prefixes = build_prefix_tree(rest)
     order = state_order(prefixes)
     hypothesis = QuotientView(tree)
     parent = hypothesis.parent  # a state survives while it is its class's representative
-    for _ in range(max_merge_passes):
-        changed = False
-        for outer in order:
-            if parent[outer] != outer or outer == tree.initial:
+    for outer in order:
+        if parent[outer] != outer:
+            continue
+        for inner in order:
+            if inner >= outer:
+                break
+            if parent[inner] != inner:
                 continue
-            for inner in order:
-                if inner >= outer:
-                    break
-                if parent[inner] != inner:
-                    continue
-                if try_merge(hypothesis, inner, outer, trace=trace) is not None:
-                    changed = True
-                    break
-        if not changed:
-            break
+            if try_merge(hypothesis, inner, outer, trace=trace) is not None:
+                break
     machine = trim(hypothesis.materialize())
     final_order = [q for q in order if q in machine.states]
     return LearnedModel(renumber(machine, final_order), eps)

@@ -15,9 +15,7 @@ from fstlearn.cli import (
 from fstlearn.core import Transducer, transduce
 from fstlearn.errors import ConflictError, FormatError
 from fstlearn.infer import infer
-from fstlearn.oracle import equivalent_up_to, generate_informant
-
-from machines import PARITY_HASH
+from fstlearn.oracle import equivalent_up_to
 
 LOOP = Transducer([0], "a", "x", 0, [0], [(0, "a", 0, "x")])
 
@@ -144,18 +142,6 @@ def test_cmd_learn_trace(tmp_path, capsys):
         a, b = entry["pair"]
         outcome = "committed" if entry["kind"] == "merge_committed" else "rejected"
         assert line.startswith(f"merge {a}+{b}: {outcome} (")
-
-
-def test_cmd_learn_max_passes_reaches_the_learner(tmp_path):
-    # one merge pass leaves 4 states on this informant; a second merges to 3
-    samples = tmp_path / "samples.tsv"
-    write(samples, serialize_samples(generate_informant(PARITY_HASH, 6)))
-    sizes = {}
-    for passes in ([], ["--max-passes", "2"]):
-        out = tmp_path / "machine.fst"
-        assert main(["learn", str(samples), str(out)] + passes) == 0
-        sizes[len(passes)] = len(parse_machine(out.read_text())[0].states)
-    assert sizes == {0: 4, 2: 3}
 
 
 def test_cmd_eval_outputs(tmp_path, capsys):
@@ -421,7 +407,6 @@ def test_cmd_undecodable_file(tmp_path, capsys):
     [
         ["check", "m.fst", "--functional", "--max-len", "-1"],
         ["gen-informant", "m.fst", "s.tsv", "--max-len", "-3"],
-        ["learn", "s.tsv", "m.fst", "--max-passes", "0"],
     ],
 )
 def test_cmd_rejects_out_of_range_bounds(argv, capsys):

@@ -1,15 +1,15 @@
 """Prefix-tree construction, checked against the derivatives and the star
 baseline of ``reference``."""
 
+import gc
 import random
-import tracemalloc
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fstlearn.core import Transducer, lcp, transduce
+from fstlearn.core import Transducer, Transition, lcp, transduce
 from fstlearn.errors import InconsistencyError
 from fstlearn.oracle import (
     check_ambiguous_up_to,
@@ -250,19 +250,21 @@ def test_tree_states_are_numbered_in_order():
 
 
 def test_tree_keeps_no_residuals():
-    # everything the build returns stays alive while the memory is read: the
-    # tree and the prefixes cost a few hundred bytes per node; a residual is a
-    # list of references to the sample's own pairs, so keeping every node's
-    # residual as well would add about 0.2 kB per node here
+    # a residual is a list of the sample's pairs, so a build that kept every
+    # node's residual would leave one more list alive per node; besides its
+    # transition records, what the build returns holds a few containers.
+    # Counting the containers the collector tracks after a collection reads
+    # neither allocator caches nor free lists
+    def containers():
+        gc.collect()
+        return sum(type(o) is not Transition for o in gc.get_objects())
+
     rotation = next(t for name, t, _ in BATTERY if name == "rotation")
     s = dict(generate_informant(rotation, 8))
-    tracemalloc.start()
-    try:
-        built = build_prefix_tree(s)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held < 1000 * len(built[0].states)
+    before = containers()
+    tree, _ = build_prefix_tree(s)
+    alive = containers() - before
+    assert alive < 50 < len(tree.states)
 
 
 def test_tree_does_not_depend_on_the_order_of_the_samples():
