@@ -14,12 +14,13 @@ transitions and its acceptance up to date.  Every class has an edge list from
 the moment the view opens.  A union joins the lists of the two classes into
 the surviving one's and marks it stale, along with the list of every class
 with an edge into the one folded away; a stale list is re-keyed to the current
-classes when it is next read.  A batch of output writes rebuilds the list of
-each written edge's source class from its members and marks it stale.  Unions
-and output writes go only through the view's ``union`` and ``set_outs``, so no
-list outlives the facts it was built from, and the view can undo them all
-(``QuotientView.rollback``), so one view serves a learner's every merge
-attempt.
+classes when it is next read.  A batch of output writes, which only a
+push-back makes, rewrites the entries of each written edge's source class in
+place and leaves its stale mark as it is: a push-back keeps every list's
+order and fused groups (see below).  Unions and output writes go only through
+the view's ``union`` and ``set_outs``, so no list outlives the facts it was
+built from, and the view can undo them all (``QuotientView.rollback``), so
+one view serves a learner's every merge attempt.
 
 The search is breadth-first and runs on the fly (Allauzen & Mohri,
 "Efficient algorithms for testing the twins property", 2003): pairs are
@@ -51,8 +52,11 @@ that expansion, and the events are read again from the first, as after a
 restart.  A push-back needs no cut: it only runs when its target class has
 one incoming quotient edge, so the edge it rewrites is the only one of its
 class with that symbol and destination, and it prepends one string to every
-output leaving the target.  Neither changes the order of an edge list, which
-edges it folds together, or their representative raw keys.
+output leaving the target, which keeps any two of those outputs equal or in
+the order they were.  Neither changes the order of an edge list, which edges
+it folds together, or their representative raw keys: every raw key into the
+target stands for the one edge it rewrites and takes one output, and every
+member arc out of the target takes the same prefix.
 
 Why a kept reconverge event still holds two quotient edges.  Its two edges
 are distinct entries of the edge lists of its pair's classes, with one symbol
@@ -123,9 +127,11 @@ class QuotientView:
       least raw key of each group of equal edges, and sorts.  A union never
       changes an output, and the least key of a merged group is the least
       of the groups' least keys, so this equals a build from the members.
-      An output write can split a group, whose other keys the list no
-      longer holds, so ``set_outs`` rebuilds each written class's list from
-      its members, once per call, and marks it stale.
+      ``set_outs`` writes the new outputs into the entries of each written
+      class's list, once per call, and leaves its stale mark as it is: a
+      push-back's writes keep every group of equal edges equal, so the key
+      that stands for a group still does, and keep each sorted list in
+      order.
     - ``incoming``, the raw keys entering each class, built once from the
       base machine; ``union`` merges the two lists, the smaller into the
       larger (Hopcroft & Karp, "A linear algorithm for testing equivalence
@@ -222,19 +228,22 @@ class QuotientView:
         return touched
 
     def set_outs(self, writes: dict[RawKey, str]) -> None:
-        """Record new outputs for raw transitions, then rebuild the edge list
-        of each written class once."""
-        outs, saved_out = self.outs, self._saved_out
-        written = set()
+        """Record new outputs for raw transitions, then write them into the
+        entries of each written class's edge list once.
+
+        Precondition: the writes keep equal edges equal and unequal ones
+        unequal, and each sorted list in order.  A push-back's writes meet
+        it (see the module docstring); then a sorted list stays sorted and
+        fused, a stale list stays stale, and every raw key that a list
+        fused away takes the output of the entry that stands for it."""
+        outs, saved_out, edges = self.outs, self._saved_out, self._edges
         for key, out in writes.items():
             saved_out.setdefault(key, outs[key])
             outs[key] = out
-            written.add(self.find(key[0]))
-        for cls in written:
+        for cls in {self.find(key[0]) for key in writes}:
             if cls not in self._saved:
                 self._save(cls)
-            self._edges[cls] = self._member_edges(cls)
-        self._stale |= written
+            edges[cls] = tuple((sym, dst, outs[key], key) for sym, dst, _, key in edges[cls])
 
     def changed(self) -> list[int]:
         """The surviving classes changed since the last ``keep`` or ``rollback``."""
@@ -282,16 +291,6 @@ class QuotientView:
             edges = self._edges[cls] = tuple(sorted(e + (k,) for e, k in seen.items()))
         return edges
 
-    def _member_edges(self, cls: int) -> list[tuple[str, int, str, RawKey]]:
-        """The raw arcs leaving a class's members, as (symbol, raw dst,
-        output, raw key) entries."""
-        entries = []
-        for q in self.members[cls]:
-            for sym, dst, _ in self.base.arcs_from(q):
-                key = (q, sym, dst)
-                entries.append((sym, dst, self.out(key), key))
-        return entries
-
     def incoming_edges(self, cls: int) -> set[tuple[int, str, str]]:
         """Distinct quotient edges (src class, symbol, output) entering a class."""
         return {(self.find(key[0]), key[1], self.out(key)) for key in self.incoming[cls]}
@@ -335,13 +334,16 @@ class PairSearchState:
     """Reachable unordered class pairs of the squared machine and pending
     witness events.
 
-    ``reached`` maps each pair to its back-pointer: (parent pair, symbol, raw
-    key of the edge from the parent's first class, raw key of the edge from
-    its second), or None for the root pair.  Pairs are expanded in the order
-    they were discovered, so the k-th expansion is of the k-th key of
-    ``reached``; ``_marks[k]`` holds the sizes of ``reached`` and ``events``
-    when it started.  An expansion pauses after each step that appends an
-    event and is resumed when more events are needed.
+    ``reached`` maps each pair to its back-pointer: (parent pair, raw key of
+    the edge from the parent's first class, raw key of the edge from its
+    second), or None for the root pair; a raw key holds its symbol.  A
+    reconverge event is ("reconverge", pair, raw key, raw key), a
+    back-pointer's fields after its tag, and an accept event is ("accept",
+    pair).  Pairs are expanded in the order they were discovered, so the
+    k-th expansion is of the k-th key of ``reached``; ``_marks[k]`` holds
+    the sizes of ``reached`` and ``events`` when it started.  An expansion
+    pauses after each step that appends an event and is resumed when more
+    events are needed.
 
     Invariant: ``reached`` and ``events`` are prefixes of those of a search
     of the current view started from the root pair and explored to the end,
@@ -417,11 +419,11 @@ class PairSearchState:
                 _, d2, _, raw2 = e2
                 emitted = False
                 if d1 == d2 and e2 != e1:
-                    events.append(("reconverge", pair, sym, raw1, raw2))
+                    events.append(("reconverge", pair, raw1, raw2))
                     emitted = True
                 child = (d1, d2) if d1 <= d2 else (d2, d1)
                 if child not in reached:
-                    reached[child] = (pair, sym, raw1, raw2)
+                    reached[child] = (pair, raw1, raw2)
                     first.setdefault(d1, len(keys))
                     first.setdefault(d2, len(keys))
                     keys.append(child)
@@ -479,7 +481,7 @@ class PairSearchState:
     def _thread(self, step: tuple, whole: bool = False) -> tuple[list, list]:
         """The raw keys of the two sides of the walk down the back-pointer
         tree from the root pair that ends with ``step``, a back-pointer
-        (parent pair, symbol, raw key, raw key).  Unless ``whole``, the walk
+        (parent pair, raw key, raw key).  Unless ``whole``, the walk
         starts at its fork: the leading steps that take one raw key on both
         sides are dropped."""
         steps = []
@@ -488,12 +490,12 @@ class PairSearchState:
             steps.append(step)
             step = reached[step[0]]
         if not whole:
-            while steps[-1][2] == steps[-1][3]:
+            while steps[-1][1] == steps[-1][2]:
                 steps.pop()
         find = self.view.find
-        sa = find(steps[-1][2][0])  # the first step leaves one class twice
+        sa = find(steps[-1][1][0])  # the first step leaves one class twice
         side_a, side_b = [], []
-        for _, _, raw1, raw2 in reversed(steps):
+        for _, raw1, raw2 in reversed(steps):
             if find(raw1[0]) != sa:
                 raw1, raw2 = raw2, raw1
             side_a.append(raw1)
@@ -533,10 +535,10 @@ class PairSearchState:
     def _build_witness(self, event, whole: bool = False) -> Optional[tuple[list, list]]:
         if event[0] == "accept":
             return self._thread(self.reached[event[1]], whole)
-        ext = self._acceptance_extension(self.view.find(event[3][2]))
+        ext = self._acceptance_extension(self.view.find(event[2][2]))
         if ext is None:
             return None
-        # (pair, symbol, raw key, raw key): the step the event's edges take
+        # (pair, raw key, raw key), a back-pointer: the step the event's edges take
         side_a, side_b = self._thread(event[1:], whole)
         return side_a + ext, side_b + ext
 

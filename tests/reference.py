@@ -3,7 +3,8 @@
 Like ``fstlearn.oracle``, these are deliberately naive and share no code path
 with the learner: the pair derivative of a sample, the star machine with
 one arm per sample pair, the pair search after a list of unions, the same
-search by a plain product scan of each pair's edges, a learner that
+search by a plain product scan of each pair's edges, a class's edge list by
+a scan of the base machine's transitions, a learner that
 enumerates every machine structure and solves its outputs, and the first
 bounded LPP check, against which the oracle's faster one is cross-checked.
 """
@@ -89,14 +90,27 @@ def square_reach_by_scan(view: QuotientView) -> tuple[dict, list]:
                     continue
                 _, d2, _, raw2 = e2
                 if d1 == d2 and e2 != e1:
-                    events.append(("reconverge", pair, sym, raw1, raw2))
+                    events.append(("reconverge", pair, raw1, raw2))
                 child = (min(d1, d2), max(d1, d2))
                 if child not in reached:
-                    reached[child] = (pair, sym, raw1, raw2)
+                    reached[child] = (pair, raw1, raw2)
                     queue.append(child)
                     if d1 != d2 and view.class_accepting(d1) and view.class_accepting(d2):
                         events.append(("accept", child))
     return reached, events
+
+
+def edges_by_scan(view: QuotientView, cls: int) -> tuple:
+    """The edges ``view.edges_from(cls)`` should hold, by a scan of every
+    transition of the base machine: each distinct (symbol, dst class,
+    output) leaving ``cls`` with its least raw key, sorted."""
+    least = {}
+    for tr in view.base.transitions:
+        key = (tr.src, tr.symbol, tr.dst)
+        if view.find(tr.src) == cls:
+            edge = (tr.symbol, view.find(tr.dst), view.out(key))
+            least[edge] = min(least.get(edge, key), key)
+    return tuple(sorted(edge + (key,) for edge, key in least.items()))
 
 
 # -- enumeration learner ----------------------------------------------------

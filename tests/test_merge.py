@@ -24,6 +24,7 @@ from fstlearn.oracle import generate_informant, words_up_to
 from fstlearn.ptree import build_prefix_tree
 
 from machines import BATTERY, random_machine, random_mostly_deterministic
+from reference import edges_by_scan
 
 merge_module = importlib.import_module("fstlearn.merge")
 
@@ -354,39 +355,45 @@ def test_a_rejected_attempt_leaves_the_view_as_a_view_that_never_made_it(monkeyp
     assert seen["after a push-back"] >= 100
 
 
-def test_a_push_back_rebuilds_each_written_class_list_once(monkeypatch):
-    # A push-back writes the edges into its target and every edge leaving it,
-    # then rebuilds the edge list of each class it wrote from its members
-    # once, however many of the class's edges it wrote.
-    rebuilds = 0
-    member_edges = QuotientView._member_edges
+def test_a_push_back_writes_each_written_class_list_in_place(monkeypatch):
+    # A push-back writes the edges into its target and every edge leaving it.
+    # It reads the arcs of each of the target's members once, to find the
+    # edges leaving it, and writes the new outputs into the lists the view
+    # holds: no list is rebuilt from its members' arcs and no stale mark
+    # changes, and every class it wrote still reads as a scan of the base.
+    arcs_read = 0
+    arcs_from = Transducer.arcs_from
 
-    def counted(self, cls):
-        nonlocal rebuilds
-        rebuilds += 1
-        return member_edges(self, cls)
+    def counted(self, *args):
+        nonlocal arcs_read
+        arcs_read += 1
+        return arcs_from(self, *args)
 
     real_push_back = merge_module.push_back
     seen = Counter()
 
     def checked(session, raw_key, suffix):
-        nonlocal rebuilds
+        nonlocal arcs_read
         view = session.view
         target = view.find(raw_key[2])
         written = {view.find(key[0]) for key in view.incoming[target]}
-        leaving = sum(len(view.base.arcs_from(q)) for q in view.members[target])
+        leaving = sum(len(arcs_from(view.base, q)) for q in view.members[target])
         if leaving:
             written.add(target)
-        rebuilds = 0
+        stale = set(view._stale)
+        arcs_read = 0
         applied = real_push_back(session, raw_key, suffix)
         if applied and suffix:
-            assert rebuilds == len(written)
+            assert arcs_read == len(view.members[target])
+            assert view._stale == stale
+            for cls in written:
+                assert view.edges_from(cls) == edges_by_scan(view, cls)
             seen["push-backs"] += 1
             seen["more writes than classes"] += (
                 len(view.incoming[target]) + leaving > len(written))
         return applied
 
-    monkeypatch.setattr(QuotientView, "_member_edges", counted)
+    monkeypatch.setattr(Transducer, "arcs_from", counted)
     monkeypatch.setattr(merge_module, "push_back", checked)
     for samples in _partial_informants(seed=31, per_kind=40):
         infer(samples)
