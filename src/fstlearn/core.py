@@ -3,9 +3,14 @@
 A transducer here is a finite-state machine whose transitions each carry one
 input symbol and an output string.  The same value type is used for learned
 hypotheses, hand-built targets, and prefix trees.  Values are immutable after
-construction and safe to share between threads; the one field filled later,
-the adjacency built on the first walk, is a cache that every thread would
-fill alike.
+construction and safe to share between threads.  Two facts derived from the
+fields are filled later, each on its first use: the adjacency, by the first
+walk, and the table of reachable subsets, by the first closure construction
+of ``transform`` (which walks it once per machine, not once per call).  Each
+is written once; threads that race to fill one build equal values, and
+whichever is stored, every reader sees the same facts.  Neither is pickled or
+copied: a machine is pickled and copied by its six public fields, so a copy
+starts with both unfilled.
 
 Evaluation (``configuration_after``, ``transduce``) folds the input through a
 normalised configuration: the output prefix that every live run shares is
@@ -78,12 +83,26 @@ class Transducer:
     ``Transition`` records without a Python call per record.  A record
     without exactly four fields raises ``TypeError``.
 
-    The adjacency that ``arcs_from``, ``configuration_after`` and the subset
-    walk of ``transform`` read is built on the first such walk, not on
-    construction: most machines the closures and ``infer`` build are never
-    walked.  It is written once through ``object.__setattr__``, like the
-    fields, and only ever read after; a race builds it twice, equal both
-    times, so a value stays safe to share between threads.
+    Two facts derived from the fields are filled later, each by its first
+    use, not on construction, since most machines the closures and
+    ``infer`` build are never walked:
+
+    - ``_adj``, the adjacency that ``arcs_from``, ``configuration_after``
+      and the subset walk of ``transform`` read, built by the first walk;
+    - ``_subsets``, the table of reachable subsets that ``disambiguate``,
+      ``totalize`` and ``complement_dfa`` read, built by the first of them
+      (``transform._subset_table``), so the three share one walk.  It
+      holds one entry per reachable subset and member and one per subset,
+      symbol and destination: the nodes and edges of ``disambiguate``'s
+      walk before it trims them, no more than that call builds anyway.
+
+    Each is written once through ``object.__setattr__``, like the fields,
+    and only ever read after; a race builds it twice, equal both times, so
+    a value stays safe to share between threads.  Equality and the hash
+    read the fields alone, so a machine with both facts filled equals a
+    fresh one.  ``__reduce__`` pickles and copies a machine by its six
+    public fields, so neither fact is serialized or shared by a copy, and
+    each dies with its machine.
     """
 
     __slots__ = (
@@ -94,6 +113,7 @@ class Transducer:
         "accepting",
         "transitions",
         "_adj",
+        "_subsets",
     )
 
     def __init__(
@@ -117,9 +137,14 @@ class Transducer:
         object.__setattr__(self, "accepting", frozenset(accepting))
         object.__setattr__(self, "transitions", records)
         object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_subsets", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Transducer is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.states, self.input_alphabet, self.output_alphabet,
+                            self.initial, self.accepting, self.transitions)
 
     def __eq__(self, other):
         if not isinstance(other, Transducer):

@@ -2,12 +2,14 @@
 symbol, and the reduction from functional to unambiguous form.
 
 Both are subset constructions (Rabin & Scott 1959) over the same reachable
-subsets.  ``_subsets`` walks them once per call, breadth first, into one
+subsets.  ``_subsets`` walks them once per machine, breadth first, into one
 table: for each subset and symbol, the next subset's id and the least member
-owning each destination.  ``complement_dfa`` and ``totalize`` read the
-complement's edges and acceptance from that table, and ``disambiguate``
-walks its (base state, subset id) nodes over it.  Their edges are cut to the
-live states before a machine is built, so each builds its result once.
+owning each destination.  The first construction called on a machine stores
+the table on it (``_subset_table``), and later ones on the same machine read
+it from there.  ``complement_dfa`` and ``totalize`` read the complement's
+edges and acceptance from that table, and ``disambiguate`` walks its (base
+state, subset id) nodes over it.  Their edges are cut to the live states
+before a machine is built, so each builds its result once.
 """
 
 from __future__ import annotations
@@ -57,15 +59,25 @@ def _subsets(t: Transducer) -> tuple[list[frozenset[int]], list[list[tuple]]]:
     return subsets, table
 
 
+def _subset_table(t: Transducer) -> tuple[list[frozenset[int]], list[list[tuple]]]:
+    """``_subsets(t)``, walked on the first call for ``t`` and kept on it,
+    like its adjacency; callers only read it."""
+    table = t._subsets
+    if table is None:
+        table = _subsets(t)
+        object.__setattr__(t, "_subsets", table)
+    return table
+
+
 def complement_dfa(t: Transducer) -> Transducer:
     """Deterministic complete acceptor of the complement of the input
     language of ``t``; every output is empty.
 
-    Subset construction over reachable subsets (``_subsets``; the empty
+    Subset construction over reachable subsets (``_subset_table``; the empty
     subset acts as the sink), acceptance flipped.  State ids follow
     discovery order.
     """
-    subsets, table = _subsets(t)
+    subsets, table = _subset_table(t)
     accepting = {sid for sid, subset in enumerate(subsets) if not subset & t.accepting}
     edges = [(sid, sym, nxt, "") for sid, row in enumerate(table) for sym, nxt, _ in row]
     return Transducer(range(len(subsets)), t.input_alphabet, (), 0, accepting, edges)
@@ -89,7 +101,7 @@ def totalize(t: Transducer, reject: str) -> Transducer:
         raise ConfigurationError("reject symbol must be a single character")
     if reject in t.output_alphabet:
         raise ConfigurationError(f"reject symbol {reject!r} already in output alphabet")
-    subsets, table = _subsets(t)
+    subsets, table = _subset_table(t)
     ids = {q: 1 + i for i, q in enumerate(sorted(t.states))}
     off = 2 + len(t.states)
     transitions = [(ids[tr.src], tr.symbol, ids[tr.dst], tr.out) for tr in t.transitions]
@@ -113,7 +125,7 @@ def disambiguate(t: Transducer) -> Transducer:
     from the least base state survives; among accepting states sharing a
     context, only the least accepting base keeps acceptance.
     """
-    subsets, table = _subsets(t)
+    subsets, table = _subset_table(t)
     adj = t._adjacency()
     least_accepting = [min(subset & t.accepting, default=None) for subset in subsets]
     nodes = [(t.initial, 0)]

@@ -215,3 +215,10 @@ def random_deterministic_total(rng: random.Random, max_states=3, sigma="ab",
             out = "".join(rng.choice(gamma) for _ in range(rng.randint(0, max_out)))
             transitions.append((src, sym, dst, out))
     return trim(Transducer(range(n), sigma, gamma, 0, range(n), transitions))
+
+
+def fresh_copy(t: Transducer) -> Transducer:
+    """An equal machine with neither its adjacency nor its subset table
+    filled: the shared machines above keep what earlier tests filled."""
+    return Transducer(t.states, t.input_alphabet, t.output_alphabet, t.initial,
+                      t.accepting, t.transitions)

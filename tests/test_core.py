@@ -1,6 +1,8 @@
 """Transducer model, evaluation, trimming, validation."""
 
+import copy
 import os
+import pickle
 import random
 import sys
 import threading
@@ -28,6 +30,7 @@ from machines import (
     LAST_LETTER,
     NONDET_EXAMPLE,
     PARITY_HASH,
+    fresh_copy,
     random_machine,
     random_mostly_deterministic,
 )
@@ -287,10 +290,10 @@ def test_trim_matches_the_reference_on_random_machines():
 
 def test_each_call_builds_each_machine_once(monkeypatch):
     """``disambiguate``, ``totalize`` and ``complement_dfa`` each build their
-    result alone, from one subset walk, and never walk what they built, so
-    its adjacency stays unbuilt; ``infer`` builds the prefix tree, the
-    materialized hypothesis, which is already trim, and the renumbered
-    model."""
+    result alone and never walk what they built, so its adjacency stays
+    unbuilt; the three calls on one machine share one subset walk, in either
+    order; ``infer`` builds the prefix tree, the materialized hypothesis,
+    which is already trim, and the renumbered model."""
     built = walks = 0
     init = Transducer.__init__
     subsets = transform._subsets
@@ -306,11 +309,10 @@ def test_each_call_builds_each_machine_once(monkeypatch):
         return subsets(t)
 
     def builds(call, *args):
-        nonlocal built, walks
-        built = walks = 0
+        nonlocal built
+        built = 0
         out = call(*args)
         if call is not infer:
-            assert walks == 1
             assert out._adj is None
         return built
 
@@ -324,17 +326,47 @@ def test_each_call_builds_each_machine_once(monkeypatch):
     rng = random.Random(37)
     machines = [t for _, t, _ in BATTERY] + [NONDET_EXAMPLE, PARITY_HASH]
     machines += [t for t in (raw_machine(rng) for _ in range(60)) if not validate(t)]
+    # fresh copies: a machine keeps its subset table from earlier calls
+    forward = [fresh_copy(t) for t in machines]
+    backward = [fresh_copy(t) for t in machines]
     informants = [generate_informant(t, 5) for _, t, _ in BATTERY]
     monkeypatch.setattr(Transducer, "__init__", counted_init)
     monkeypatch.setattr(transform, "_subsets", counted_subsets)
     monkeypatch.setattr(ambiguity.QuotientView, "materialize", kept_materialize)
-    for t in machines:
-        assert builds(transform.disambiguate, t) == 1
-        assert builds(transform.totalize, t, "%" if "#" in t.output_alphabet else "#") == 1
-        assert builds(transform.complement_dfa, t) == 1
+    for step, copies in ((1, forward), (-1, backward)):
+        for t in copies:
+            calls = [(transform.disambiguate,),
+                     (transform.totalize, "%" if "#" in t.output_alphabet else "#"),
+                     (transform.complement_dfa,)]
+            walks = 0
+            for call, *args in calls[::step]:
+                assert builds(call, t, *args) == 1
+            assert walks == 1
     for informant in informants:
         assert builds(infer, informant) == 3
         assert trim(materialized[-1]) is materialized[-1]
+
+
+def test_a_machine_pickles_and_copies_by_its_fields():
+    """A pickled, copied or deep-copied machine is equal, hashes the same and
+    starts with neither its adjacency nor its subset table filled, even
+    when the original has both."""
+    rng = random.Random(41)
+    machines = [t for _, t, _ in BATTERY] + [NONDET_EXAMPLE, PARITY_HASH]
+    machines += [random_machine(rng) for _ in range(40)]
+    for t in map(fresh_copy, machines):
+        transform.disambiguate(t)
+        assert t._adj is not None and t._subsets is not None
+        copies = [copy.copy(t), copy.deepcopy(t)]
+        copies += [pickle.loads(pickle.dumps(t, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies:
+            assert again is not t
+            assert again == t and hash(again) == hash(t)
+            assert again._adj is None and again._subsets is None
+            assert all(type(tr) is Transition for tr in again.transitions)
+            word = "".join(sorted(t.input_alphabet)) * 2
+            assert transduce(again, word) == transduce(t, word)
 
 
 def test_validate_clean():

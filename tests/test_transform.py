@@ -22,6 +22,7 @@ from machines import (
     BATTERY,
     NONDET_EXAMPLE,
     PARITY_HASH,
+    fresh_copy,
     random_machine,
     random_mostly_deterministic,
 )
@@ -204,17 +205,21 @@ def test_disambiguate_random_functional():
         assert equivalent_up_to(t, d, 6).verdict, t
 
 
-def test_transform_outputs_are_pinned():
-    # The benchmark's digest covers only total split machines; this one hashes
-    # every construction on partial and non-functional machines too, so a
-    # rewrite of the constructions that changes one byte shows here.
+def _pinned_machines():
     rng = random.Random(13)
     machines = [t for _, t, _ in BATTERY] + [NONDET_EXAMPLE, PARITY_HASH]
     machines += [random_machine(rng) for _ in range(150)]
     machines += [random_mostly_deterministic(rng) for _ in range(150)]
+    return machines
+
+
+def test_transform_outputs_are_pinned():
+    # The benchmark's digest covers only total split machines; this one hashes
+    # every construction on partial and non-functional machines too, so a
+    # rewrite of the constructions that changes one byte shows here.
     digest = hashlib.sha256()
     built = 0
-    for t in machines:
+    for t in _pinned_machines():
         reject = "%" if "#" in t.output_alphabet else "#"
         for out in (disambiguate(t), totalize(t, reject), complement_dfa(t)):
             digest.update(serialize_machine(out).encode())
@@ -223,6 +228,22 @@ def test_transform_outputs_are_pinned():
     assert digest.hexdigest() == (
         "f4f2667b88727129851730840f8fcbe2c306b51ebc6bc6a4eb0bc62e074dc982"
     )
+
+
+def test_call_order_makes_no_difference():
+    # The first construction on a machine stores its subset table on it and
+    # the later ones read it from there; each must build, byte for byte, what
+    # it builds on a fresh machine, whichever ran first.
+    for t in _pinned_machines():
+        reject = "%" if "#" in t.output_alphabet else "#"
+        calls = [disambiguate, lambda m: totalize(m, reject), complement_dfa]
+        alone = [serialize_machine(call(fresh_copy(t))) for call in calls]
+        shared = fresh_copy(t)
+        in_reverse = [serialize_machine(call(shared)) for call in reversed(calls)]
+        assert in_reverse[::-1] == alone
+        # both facts filled, and still equal to a fresh machine
+        assert shared._subsets is not None and shared._adj is not None
+        assert shared == fresh_copy(t) and hash(shared) == hash(fresh_copy(t))
 
 
 def _accepting_paths(t, word):
