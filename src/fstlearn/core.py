@@ -16,9 +16,13 @@ Evaluation (``configuration_after``, ``transduce``) folds the input through a
 normalised configuration: the output prefix that every live run shares is
 moved out into the emitted output, and each run keeps only its delay, the
 rest of its pending output (the residual outputs of Mohri's determinisation,
-1997).  Steps are memoised per call on (configuration, symbol); the memo is
-dropped whenever what it holds outgrows the input.  For runs of bounded delay
-a call is thus linear in the lengths of the input and the output.
+1997).  Steps are memoised per call in a step table, a row per configuration
+that maps a symbol to the chunk emitted, the next configuration and its row,
+so a step already taken costs one dict lookup; the table is dropped whenever
+what it holds outgrows the input.  For runs of bounded delay a call is thus
+linear in the lengths of the input and the output.  The fold keeps every live
+run, also one that cannot accept the rest of the input, so on a machine whose
+delay grows without bound every step misses and a call is quadratic.
 
 Construction removes duplicate transition records in input order, sorts once
 and makes the records ``Transition`` values in C.  The closure constructions
@@ -206,25 +210,38 @@ def lcp(strings: Collection[str]) -> str:
     return lo[:k]
 
 
+# ``configuration_after`` joins its emitted chunks once per block of this
+# many input symbols, so that a list of one chunk per symbol never lives
+# longer than a block.
+_BLOCK = 1024
+
+
 def configuration_after(t: Transducer, inp: str) -> Configuration:
     """Set of (state, pending output) pairs reachable over ``inp``.
 
     Starts from {(initial, "")} and folds each input symbol through every
     matching transition.  The fold keeps the configuration normalised: after
     each symbol the longest common prefix of the live runs' pending outputs
-    is moved into a list of emitted chunks, and only each run's delay (the
-    rest of its pending output) stays in a frozenset of (state, suffix)
-    pairs.  Deduplicating on (state, suffix) is the same as deduplicating on
-    (state, full output), since every run shares the emitted prefix, which is
-    joined back onto each suffix at the end.
+    is moved into the emitted output, and only each run's delay (the rest of
+    its pending output) stays in a frozenset of (state, suffix) pairs.
+    Deduplicating on (state, suffix) is the same as deduplicating on (state,
+    full output), since every run shares the emitted prefix, which is joined
+    back onto each suffix at the end.
 
-    Steps are memoised for the duration of the call, keyed on (normalised
-    configuration, symbol), so a machine whose live runs keep a bounded delay
-    revisits a few configurations and pays one dict lookup per symbol: the
-    call is linear in the lengths of the input and the output.  The memo is
-    dropped whenever the pairs and characters of the configurations it stores
-    exceed ``len(inp)``, so on a machine whose delay grows without bound it
-    always misses but keeps memory at O(|input| + |output|).
+    Steps are memoised for the duration of the call in a step table: a row
+    per normalised configuration maps an input symbol to the step taken from
+    that configuration on it, (emitted chunk, next configuration, next row).
+    A hit is one dict lookup on the row that the last step returned, a
+    subscript that raises ``KeyError`` on a miss, and the append of its
+    chunk; only a miss hashes a configuration.  The chunks are joined once
+    per block of the input.  A machine whose live runs keep a bounded delay
+    revisits a few configurations: the call is linear in the lengths of the
+    input and the output.  ``held`` counts the pairs and delay characters of
+    the configurations that have rows, and the table is dropped on a miss
+    once it exceeds ``len(inp)``.  Every live run is kept, also one that
+    cannot accept the rest of a longer word, so on a machine whose delay
+    grows without bound every step misses: the call is then quadratic, but
+    keeps memory at O(|input| + |output|).
 
     Raises ``AlphabetError`` naming the first symbol of ``inp`` outside the
     input alphabet, even where the runs have already died before it.
@@ -233,33 +250,45 @@ def configuration_after(t: Transducer, inp: str) -> Configuration:
         bad = next(sym for sym in inp if sym not in t.input_alphabet)
         raise AlphabetError(f"symbol {bad!r} not in input alphabet")
     adj = t._adjacency()
-    emitted = []
     conf = frozenset({(t.initial, "")})
-    memo: dict = {}
-    held = 0
-    for sym in inp:
-        step = memo.get((conf, sym))
-        if step is None:
-            nxt = set()
-            for state, pending in conf:
-                for dst, out in adj.get(state, {}).get(sym, ()):
-                    nxt.add((dst, pending + out))
-            if not nxt:
-                return frozenset()
-            suffixes = [pending for _, pending in nxt]
-            chunk = lcp(suffixes)
+    row: dict = {}
+    rows = {conf: row}
+    held = 1
+    blocks = []
+    for start in range(0, len(inp), _BLOCK):
+        emitted = []
+        for sym in inp[start:start + _BLOCK]:
+            try:
+                chunk, conf, row = row[sym]
+            except KeyError:
+                if held > len(inp):
+                    # rows refer to each other, in cycles where configurations
+                    # recur: emptying each frees them now, not at a collection
+                    for r in rows.values():
+                        r.clear()
+                    rows.clear()
+                    held = 0
+                nxt = set()
+                for state, pending in conf:
+                    for dst, out in adj.get(state, {}).get(sym, ()):
+                        nxt.add((dst, pending + out))
+                if not nxt:
+                    return frozenset()
+                chunk = lcp([pending for _, pending in nxt])
+                if chunk:
+                    k = len(chunk)
+                    nxt = {(state, pending[k:]) for state, pending in nxt}
+                conf = frozenset(nxt)
+                after = rows.get(conf)
+                if after is None:
+                    after = rows[conf] = {}
+                    held += len(conf) + sum(len(pending) for _, pending in conf)
+                row[sym] = (chunk, conf, after)
+                row = after
             if chunk:
-                k = len(chunk)
-                nxt = {(state, pending[k:]) for state, pending in nxt}
-            if held > len(inp):
-                memo.clear()
-                held = 0
-            held += len(suffixes) + sum(map(len, suffixes))
-            step = memo[conf, sym] = (chunk, frozenset(nxt))
-        chunk, conf = step
-        if chunk:
-            emitted.append(chunk)
-    prefix = "".join(emitted)
+                emitted.append(chunk)
+        blocks.append("".join(emitted))
+    prefix = "".join(blocks)
     return frozenset((state, prefix + pending) for state, pending in conf)
 
 

@@ -4,7 +4,8 @@ Like ``fstlearn.oracle``, these are deliberately naive and share no code path
 with the learner: the pair derivative of a sample, the star machine with
 one arm per sample pair, the pair search after a list of unions, the same
 search by a plain product scan of each pair's edges, a class's edge list by
-a scan of the base machine's transitions, a learner that
+a scan of the base machine's transitions, the configurations of a word
+by the plain fold that ``core.configuration_after`` normalises, a learner that
 enumerates every machine structure and solves its outputs, and the first
 bounded LPP check, against which the oracle's faster one is cross-checked.
 """
@@ -111,6 +112,22 @@ def edges_by_scan(view: QuotientView, cls: int) -> tuple:
             edge = (tr.symbol, view.find(tr.dst), view.out(key))
             least[edge] = min(least.get(edge, key), key)
     return tuple(sorted(edge + (key,) for edge, key in least.items()))
+
+
+def reference_configurations(t: Transducer, inp: str):
+    """Configurations after each prefix of ``inp``, by the plain fold that
+    appends each transition's output to every run's whole pending output.
+    The reference for ``configuration_after`` and ``transduce``; it uses
+    nothing of ``core`` but the machine's arcs."""
+    cur = {(t.initial, "")}
+    yield frozenset(cur)
+    for sym in inp:
+        nxt = set()
+        for state, pending in cur:
+            for _, dst, out in t.arcs_from(state, sym):
+                nxt.add((dst, pending + out))
+        cur = nxt
+        yield frozenset(cur)
 
 
 # -- enumeration learner ----------------------------------------------------

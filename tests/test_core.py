@@ -20,11 +20,12 @@ from fstlearn.core import (
     trim,
     validate,
 )
-from fstlearn import ambiguity, transform
+from fstlearn import ambiguity, core, transform
 from fstlearn.errors import AlphabetError
 from fstlearn.infer import infer
 from fstlearn.oracle import generate_informant, path_outputs, words_up_to
 
+from reference import reference_configurations
 from machines import (
     BATTERY,
     LAST_LETTER,
@@ -437,25 +438,9 @@ def test_renumber_preserves_relation():
             assert transduce(t, word) == transduce(r, word)
 
 
-def reference_configurations(t, inp):
-    """Configurations after each prefix of ``inp``, by the plain fold that
-    appends each transition's output to every run's whole pending output.
-    The reference for ``configuration_after``; it uses nothing of ``core``
-    but the machine's arcs."""
-    cur = {(t.initial, "")}
-    yield frozenset(cur)
-    for sym in inp:
-        nxt = set()
-        for state, pending in cur:
-            for _, dst, out in t.arcs_from(state, sym):
-                nxt.add((dst, pending + out))
-        cur = nxt
-        yield frozenset(cur)
-
-
 def test_configuration_after_matches_the_concatenating_fold_on_long_words():
     """Random words of 20-60 symbols, so that normalised configurations with
-    a non-empty delay repeat within a word and the step memo is hit.  A
+    a non-empty delay repeat within a word and the step table is hit.  A
     non-functional machine's configuration can double with every symbol;
     words whose configuration passes 200 pairs are left out, as both
     evaluators are exponential there."""
@@ -480,6 +465,7 @@ def test_configuration_after_matches_the_concatenating_fold_on_long_words():
                     assert configuration_after(t, word) == conf, (t, word)
                     alive += bool(conf)
                     outputs = {p for q, p in conf if q in t.accepting}
+                    assert transduce(t, word) == outputs, (t, word)
                     nonfunctional += len(outputs) > 1
     assert alive >= 200
     assert delayed_repeats >= 300
@@ -487,18 +473,75 @@ def test_configuration_after_matches_the_concatenating_fold_on_long_words():
 
 
 def test_unbounded_delay_is_exact_and_memory_stays_linear():
-    """LAST_LETTER's two live runs never share a prefix, so every step misses
-    the memo; the memo must not keep all the configurations it has seen,
-    which would hold |w|^2 characters."""
+    """LAST_LETTER's two live runs never share a prefix, so every step
+    misses the step table; the table must not keep all the configurations
+    it has seen, which would hold |w|^2 characters.  ``configuration_after``
+    keeps both runs, and ``transduce`` the one that accepts."""
     rng = random.Random(5)
     n = 20_000
     word = "".join(rng.choice("ab") for _ in range(n - 1))
     assert transduce(LAST_LETTER, word + "b") == {"y" * n}
+    assert configuration_after(LAST_LETTER, word + "b") == {(2, "x" * n), (4, "y" * n)}
+    for call, want in ((transduce, {"x" * n}),
+                       (configuration_after, {(1, "x" * n), (3, "y" * n)})):
+        tracemalloc.start()
+        try:
+            got = call(LAST_LETTER, word + "a")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 16 * n, call.__name__
+
+
+@pytest.mark.parametrize("name", ["rotation", "ostia_twist"])
+def test_bounded_delay_output_is_joined_in_blocks(name):
+    """Every symbol of these machines emits a chunk.  Joined in blocks, the
+    output is held as the block strings, the joined prefix and the result,
+    a few bytes per character; a list of one chunk per symbol would add
+    eight bytes per symbol."""
+    t = fresh_copy({n: m for n, m, _ in BATTERY}[name])
+    t._adjacency()
+    rng = random.Random(5)
+    word = "".join(rng.choice("ab") for _ in range(20_000))
     tracemalloc.start()
     try:
-        outputs = transduce(LAST_LETTER, word + "a")
+        (output,) = transduce(t, word)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert outputs == {"x" * n}
-    assert peak < 16 * n
+    assert peak < 4 * len(output), (peak, len(output))
+
+
+@pytest.mark.parametrize("name, most", [
+    ("rotation", 6),
+    ("ostia_twist", 4),
+    ("nondet_reject", 4),
+    ("NONDET_EXAMPLE", 5),
+])
+def test_transduce_is_linear_by_its_count_of_steps(monkeypatch, name, most):
+    """Each step computed, as against read from the step table, takes one
+    ``lcp`` of the next runs' pending outputs, so counting its calls counts
+    the steps.  On a machine of bounded delay the count stays under a bound
+    that does not depend on the input: one step per configuration and
+    symbol reached.  The words span several blocks of emitted chunks, and
+    the outputs must equal the plain fold's."""
+    steps = 0
+    lcp = core.lcp
+
+    def counted(strings):
+        nonlocal steps
+        steps += 1
+        return lcp(strings)
+
+    machine = {"NONDET_EXAMPLE": NONDET_EXAMPLE, **{n: t for n, t, _ in BATTERY}}[name]
+    monkeypatch.setattr(core, "lcp", counted)
+    rng = random.Random(23)
+    counts = []
+    for n in (2_500, 5_000, 10_000, 20_000):
+        word = "".join(rng.choice("ab") for _ in range(n))
+        *_, last = reference_configurations(machine, word)
+        steps = 0
+        assert transduce(machine, word) == {p for q, p in last if q in machine.accepting}
+        counts.append(steps)
+    assert max(counts) <= most, counts
