@@ -9,18 +9,19 @@ witness event are collected: a pair of distinct same-symbol edges
 reconverging on one state class, and a reachable pair of two distinct
 accepting classes.
 
-``QuotientView`` keeps each class's sorted edge list, its incoming raw
-transitions and its acceptance up to date.  Every class has an edge list from
-the moment the view opens.  A union joins the lists of the two classes into
-the surviving one's and marks it stale, along with the list of every class
-with an edge into the one folded away; a stale list is re-keyed to the current
-classes when it is next read.  A batch of output writes, which only a
-push-back makes, rewrites the entries of each written edge's source class in
-place and leaves its stale mark as it is: a push-back keeps every list's
-order and fused groups (see below).  Unions and output writes go only through
-the view's ``union`` and ``set_outs``, so no list outlives the facts it was
-built from, and the view can undo them all (``QuotientView.rollback``), so
-one view serves a learner's every merge attempt.
+``QuotientView`` keeps each class's sorted edge list and its acceptance up to
+date, and reads the raw transitions into a class through its members.  Every
+class has an edge list from the moment the view opens.  A union joins the
+lists of the two classes into the surviving one's and marks it stale, along
+with the list of every class with an edge into the one folded away; a stale
+list is re-keyed to the current classes when it is next read.  A batch of
+output writes, which only a push-back makes, rewrites the entries of each
+written edge's source class in place and leaves its stale mark as it is: a
+push-back keeps every list's order and fused groups (see below).  Unions and
+output writes go only through the view's ``union`` and ``set_outs``, so no
+list outlives the facts it was built from, and the view can undo them all
+(``QuotientView.rollback``), so one view serves a learner's every merge
+attempt.
 
 The search is breadth-first and runs on the fly (Allauzen & Mohri,
 "Efficient algorithms for testing the twins property", 2003): pairs are
@@ -114,41 +115,40 @@ class QuotientView:
     state to its class's representative, the class's least member, so
     ``find`` is one lookup too, and ``members`` maps each representative to
     its class's states.  ``union`` re-points the states of the class it folds,
-    the list it moves into the survivor's ``members``.  Every change goes
-    through ``union`` or ``set_outs``, which keep three per-class facts
-    current instead of recomputing them on each call:
+    the list it moves into the survivor's ``members``.  ``incoming_keys``
+    reads the raw keys entering a class through ``members``, from an index of
+    the keys entering each state that is built once from the base machine and
+    never changes.  It answers ``incoming_edges`` and gives a push-back the
+    raw keys it rewrites; ``union`` reads the index the same way, inline on
+    its hot path, to find the classes it marks stale.  Every change goes
+    through ``union`` or ``set_outs``, which keep two per-class facts current
+    instead of recomputing them on each call:
 
-    - the sorted edge list of ``edges_from``.  Every class has one: a
-      state's starts as its run of the base machine's sorted transitions,
-      read in the pass that builds the other facts.  ``union`` joins the
-      lists of the two classes into the survivor's and marks it stale, along
-      with the list of every class with an edge into the dropped one.  A read
-      re-keys a stale list: it maps each destination to its class, keeps the
-      least raw key of each group of equal edges, and sorts.  A union never
-      changes an output, and the least key of a merged group is the least
-      of the groups' least keys, so this equals a build from the members.
-      ``set_outs`` writes the new outputs into the entries of each written
-      class's list, once per call, and leaves its stale mark as it is: a
-      push-back's writes keep every group of equal edges equal, so the key
-      that stands for a group still does, and keep each sorted list in
-      order.
-    - ``incoming``, the raw keys entering each class, built once from the
-      base machine; ``union`` merges the two lists, the smaller into the
-      larger (Hopcroft & Karp, "A linear algorithm for testing equivalence
-      of finite automata", 1971).  It finds the classes to mark stale and,
-      on a gain of acceptance, the classes with an edge into the survivor;
-      it answers ``incoming_edges`` and gives a push-back the raw keys it
-      rewrites.
+    - the sorted edge list of ``edges_from``.  Every class has one: a state's
+      starts as its run of the base machine's sorted transitions, read in the
+      pass that builds ``outs`` and the index of entering keys.  ``union``
+      joins the lists of the two classes into the survivor's and marks it
+      stale, along with the list of every class with an edge into the dropped
+      one.  A read re-keys a stale list: it maps each destination to its
+      class, keeps the least raw key of each group of equal edges, and sorts.
+      A union never changes an output, and the least key of a merged group is
+      the least of the groups' least keys, so this equals a build from the
+      members.  ``set_outs`` writes the new outputs into the entries of each
+      written class's list, once per call, and leaves its stale mark as it is:
+      a push-back's writes keep every group of equal edges equal, so the key
+      that stands for a group still does, and keep each sorted list in order.
     - the set of accepting classes, updated by ``union``.
 
     Rollback.  ``rollback`` returns the view to its state when it was built
     or last called ``keep`` or ``rollback``; ``keep`` makes the changes since
     then permanent.  For this the view saves, before the first change since
-    then to each class's facts, the class's edge list, its ``incoming`` and
-    ``members`` lists with their lengths, and whether it accepts, and
-    ``set_outs`` saves the output each key had before its first write, which
-    ``rollback`` writes back into ``outs``.  Between two calls the two lists
-    only grow in place, so a saved length restores one.
+    then to each class's facts, five fields: the class's edge list and stale
+    mark, its ``members`` list and that list's length, and whether it
+    accepts; ``set_outs`` saves the output each key had before its first
+    write, which ``rollback`` writes back into ``outs``.  Between two calls a
+    member list only grows in place, so its saved length restores it.
+    ``union`` finds the classes it changes before it changes any, and saves
+    them first.
     A folded class's restored member list names every state that a union
     re-pointed away from it, so ``rollback`` re-points those lists; a state
     of a class that survived was never re-pointed.  A class whose list a
@@ -161,7 +161,7 @@ class QuotientView:
     """
 
     __slots__ = (
-        "base", "parent", "members", "find", "outs", "out", "incoming",
+        "base", "parent", "members", "find", "outs", "out", "_into",
         "_edges", "_stale", "_accepting", "_saved", "_saved_out")
 
     def __init__(self, base: Transducer):
@@ -171,12 +171,12 @@ class QuotientView:
         self.find = self.parent.__getitem__
         self.outs: dict[RawKey, str] = {}
         self.out = self.outs.__getitem__
-        self.incoming: dict[int, list[RawKey]] = {q: [] for q in base.states}
+        self._into: dict[int, list[RawKey]] = {q: [] for q in base.states}
         runs: dict[int, list[tuple]] = {q: [] for q in base.states}
         for src, sym, dst, out in base.transitions:
             key = (src, sym, dst)
             self.outs[key] = out
-            self.incoming[dst].append(key)
+            self._into[dst].append(key)
             runs[src].append((sym, dst, out, key))
         self._edges: dict[int, Sequence[tuple]] = {q: tuple(run) for q, run in runs.items()}
         self._stale: set[int] = set()
@@ -185,8 +185,8 @@ class QuotientView:
         self._saved_out: dict[RawKey, str] = {}
 
     def _save(self, cls: int) -> None:
-        into, members = self.incoming[cls], self.members[cls]
-        self._saved[cls] = (self._edges[cls], cls in self._stale, into, len(into),
+        members = self.members[cls]
+        self._saved[cls] = (self._edges[cls], cls in self._stale,
                             members, len(members), cls in self._accepting)
 
     def union(self, a: int, b: int) -> set[int]:
@@ -198,33 +198,23 @@ class QuotientView:
         if ra == rb:
             return set()
         keep, drop = (ra, rb) if ra < rb else (rb, ra)
-        saved = self._saved
-        for cls in (keep, drop):
-            if cls not in saved:
+        find, edges, into = self.find, self._edges, self._into
+        touched = {keep, drop, *(find(key[0]) for q in self.members[drop] for key in into[q])}
+        for cls in touched:
+            if cls not in self._saved:
                 self._save(cls)
         folded = self.members.pop(drop)
         for q in folded:
             self.parent[q] = keep
         self.members[keep] += folded
-        find, edges = self.find, self._edges
         edges[keep] = [*edges[keep], *edges.pop(drop)]
-        into_keep, into_drop = self.incoming[keep], self.incoming.pop(drop)
-        touched = {keep, *(find(src) for src, _, _ in into_drop)}
-        for cls in touched:
-            if cls not in saved:
-                self._save(cls)
-        self._stale.discard(drop)
         self._stale |= touched
-        touched.add(drop)
+        self._stale.discard(drop)
         if drop in self._accepting:
             self._accepting.discard(drop)
             if keep not in self._accepting:
                 self._accepting.add(keep)
-                touched.update(find(src) for src, _, _ in into_keep)
-        if len(into_keep) < len(into_drop):
-            into_keep, into_drop = into_drop, into_keep
-        into_keep += into_drop
-        self.incoming[keep] = into_keep
+                touched.update(find(src) for src, _, _ in self.incoming_keys(keep))
         return touched
 
     def set_outs(self, writes: dict[RawKey, str]) -> None:
@@ -260,11 +250,9 @@ class QuotientView:
         self.outs.update(self._saved_out)
         parent, members = self.parent, self.members
         stale, accepting = self._stale, self._accepting
-        for cls, (edges, was_stale, into, n_into, mine, n_mine, accepts) in self._saved.items():
+        for cls, (edges, was_stale, mine, n_mine, accepts) in self._saved.items():
             self._edges[cls] = edges
             (stale.add if was_stale else stale.discard)(cls)
-            del into[n_into:]
-            self.incoming[cls] = into
             del mine[n_mine:]
             if cls not in members:
                 for q in mine:
@@ -291,9 +279,14 @@ class QuotientView:
             edges = self._edges[cls] = tuple(sorted(e + (k,) for e, k in seen.items()))
         return edges
 
+    def incoming_keys(self, cls: int) -> list[RawKey]:
+        """The raw keys entering a class: those entering each of its members."""
+        into = self._into
+        return [key for q in self.members[cls] for key in into[q]]
+
     def incoming_edges(self, cls: int) -> set[tuple[int, str, str]]:
         """Distinct quotient edges (src class, symbol, output) entering a class."""
-        return {(self.find(key[0]), key[1], self.out(key)) for key in self.incoming[cls]}
+        return {(self.find(key[0]), key[1], self.out(key)) for key in self.incoming_keys(cls)}
 
     def initial_class(self) -> int:
         return self.find(self.base.initial)

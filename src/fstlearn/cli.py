@@ -79,11 +79,9 @@ def parse_machine(text: str) -> tuple[Transducer, Optional[str]]:
                     raise FormatError(f"line {lineno}: duplicate header")
                 if len(fields) != 4:
                     raise FormatError(f"line {lineno}: bad header")
-                header = (
-                    set(fields[1]) - {"-"} if fields[1] != "-" else set(),
-                    set(fields[2]) - {"-"} if fields[2] != "-" else set(),
-                    int(fields[3]),
-                )
+                if any("-" in chars and chars != "-" for chars in fields[1:3]):
+                    raise FormatError(f"line {lineno}: '-' inside an alphabet")
+                header = (set(fields[1]) - {"-"}, set(fields[2]) - {"-"}, int(fields[3]))
             elif fields[0] == "state":
                 if len(fields) not in (2, 3):
                     raise FormatError(f"line {lineno}: bad state")
@@ -267,16 +265,15 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
-
-    def integer(text: str) -> int:
+def _non_negative(text: str) -> int:
+    """An argparse type: an integer no smaller than 0."""
+    try:
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return integer
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _one_character(text: str) -> str:
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", action="store_true")
     p.add_argument("--ambiguity", action="store_true")
     p.add_argument("--lpp", action="store_true")
-    p.add_argument("--max-len", type=_at_least(0), default=6)
+    p.add_argument("--max-len", type=_non_negative, default=6)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("transform", help="apply a closure construction")
@@ -324,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-informant", help="dump the bounded relation")
     p.add_argument("machine")
     p.add_argument("output")
-    p.add_argument("--max-len", type=_at_least(0), required=True)
+    p.add_argument("--max-len", type=_non_negative, required=True)
     p.set_defaults(fn=cmd_gen_informant)
 
     p = sub.add_parser("export-dot", help="print a graph description")

@@ -90,8 +90,9 @@ def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
     if len(view.incoming_edges(dst_cls)) != 1:
         return False
     # that one quotient edge is raw_key's, so every raw key into the target
-    # stands for it; a self-loop on the target is cut, then prefixed
-    writes = dict.fromkeys(view.incoming[dst_cls], out[: -len(suffix)])
+    # stands for it.  On a prefix-tree base it comes from outside the target,
+    # which does not hold the root; on another, a self-loop is cut, then prefixed
+    writes = dict.fromkeys(view.incoming_keys(dst_cls), out[: -len(suffix)])
     for member in view.members[dst_cls]:
         for s, dst, _ in view.base.arcs_from(member):
             key = (member, s, dst)
@@ -142,7 +143,9 @@ def unify_paths(
                 session.failure = PUSHBACK_BLOCKED
                 return False
             if out(ka) != out(kb):
-                session.failure = OUTPUT_CONFLICT  # self-loop cannot equalize
+                # on a prefix-tree base: the other side's edge leaves the
+                # push-back's target, so it took the suffix too
+                session.failure = OUTPUT_CONFLICT
                 return False
         if da != db:
             session.pending.append((da, db))

@@ -106,11 +106,12 @@ def _in_alphabet(t: Transducer, word: str) -> bool:
 
 
 def check_functional_up_to(t: Transducer, max_len: int) -> BoundedCheckReport:
-    """No input of length <= max_len may have two distinct outputs."""
+    """No input of length <= max_len may have two distinct outputs.  The
+    least input with two is reported with its outputs, sorted."""
     for word in words_up_to(t.input_alphabet, max_len):
         outs = path_outputs(t, word)
         if len(outs) > 1:
-            return BoundedCheckReport("functional", max_len, False, (word, outs))
+            return BoundedCheckReport("functional", max_len, False, (word, tuple(sorted(outs))))
     return BoundedCheckReport("functional", max_len, True)
 
 

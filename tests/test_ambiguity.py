@@ -12,11 +12,11 @@ from fstlearn.ambiguity import (
     find_ambiguity,
     square_reach,
 )
-from fstlearn.core import Path, Transducer, Transition, transduce, trim
+from fstlearn.core import Path, Transducer, Transition, transduce, trim, validate
 from fstlearn.errors import InvariantError
 from fstlearn.infer import infer
 from fstlearn.merge import open_session, push_back, run_session
-from fstlearn.oracle import accepting_paths, words_up_to
+from fstlearn.oracle import accepting_paths, check_ambiguous_up_to, words_up_to
 from fstlearn.ptree import build_prefix_tree
 
 from machines import random_machine
@@ -93,6 +93,31 @@ def test_reconvergence_witnessed():
     assert w is not None
     assert w.path_a.input_word == "ab" == w.path_b.input_word
     assert len(w.path_a.transitions) == 2
+
+
+# Two runs of ab fork at 0 and meet again in 3, from which no accepting state
+# is reached; 0 itself accepts.  The second machine adds two runs of ba that
+# fork at 0 and meet in the accepting 6.
+DEAD_RECONVERGENCE = [(0, "a", 1, "x"), (0, "a", 2, "y"), (1, "b", 3, "x"), (2, "b", 3, "y")]
+LIVE_RECONVERGENCE = [(0, "b", 4, "x"), (0, "b", 5, "y"), (4, "a", 6, "x"), (5, "a", 6, "y")]
+
+
+def test_a_reconvergence_that_reaches_no_accepting_class_is_no_witness():
+    dead = Transducer(range(4), "ab", "xy", 0, [0], DEAD_RECONVERGENCE)
+    mixed = Transducer(range(7), "ab", "xy", 0, [0, 6], DEAD_RECONVERGENCE + LIVE_RECONVERGENCE)
+    assert validate(dead) == [] and validate(mixed) == []
+    assert find_ambiguity(dead, square_reach(dead)) is None
+    assert check_ambiguous_up_to(dead, 4).verdict
+    # the scan passes over the dead event, which the search appends first
+    st = square_reach(mixed)
+    assert st.events == [
+        ("reconverge", (1, 2), (1, "b", 3), (2, "b", 3)),
+        ("reconverge", (4, 5), (4, "a", 6), (5, "a", 6)),
+    ]
+    w = find_ambiguity(mixed, st)
+    assert w.path_a.input_word == "ba" == w.path_b.input_word
+    assert {w.path_a.output_word, w.path_b.output_word} == {"xx", "yy"}
+    assert check_ambiguous_up_to(mixed, 4).counterexample == ("ba", 2)
 
 
 def test_witnesses_start_at_initial():

@@ -1,9 +1,13 @@
 """Command-line surface: formats, round trips, exit codes."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import fstlearn
 from fstlearn.cli import (
     export_dot,
     main,
@@ -16,6 +20,8 @@ from fstlearn.core import Transducer, transduce
 from fstlearn.errors import ConflictError, FormatError
 from fstlearn.infer import infer
 from fstlearn.oracle import equivalent_up_to
+
+from machines import PARITY_HASH
 
 LOOP = Transducer([0], "a", "x", 0, [0], [(0, "a", 0, "x")])
 
@@ -380,6 +386,25 @@ def test_commands_are_deterministic(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+def test_failed_checks_print_the_same_counterexample_under_every_hash_seed(tmp_path, capsys):
+    # a check's report is read by people and diffed by scripts: two runs of one
+    # command print the same text, whatever order a set of outputs hashes into
+    machine = tmp_path / "m.fst"
+    two_outputs = Transducer([0, 1, 2], "a", "xy", 0, [1, 2], [(0, "a", 1, "x"), (0, "a", 2, "y")])
+    write(machine, serialize_machine(two_outputs))
+    argv = [sys.executable, "-m", "fstlearn.cli", "check", str(machine), "--functional", "--max-len", "2"]
+    src = os.path.dirname(os.path.dirname(fstlearn.__file__))
+    runs = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        runs.add((run.returncode, run.stdout))
+    assert runs == {(1, "functional: FAIL (bound 2) counterexample=('a', ('x', 'y'))\n")}
+    write(machine, serialize_machine(PARITY_HASH))
+    assert main(["check", str(machine), "--lpp", "--max-len", "2"]) == 1
+    assert capsys.readouterr().out.startswith("locally_prefix_preserving: FAIL (bound 2) counterexample=")
+
+
 def test_cmd_eval_symbol_outside_alphabet(tmp_path, capsys):
     machine = tmp_path / "m.fst"
     t = Transducer([0, 1], "ab", "x", 0, [1], [(0, "a", 1, "x")])
@@ -420,6 +445,46 @@ def test_cmd_rejects_out_of_range_bounds(argv, capsys):
 def test_parse_machine_bare_record(record):
     with pytest.raises(FormatError, match=f"line 3: bad {record}"):
         parse_machine(f"fst a x 0\nstate 0 accept\n{record}\n")
+
+
+def test_cmd_rejects_a_bound_that_is_no_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "m.fst", "--functional", "--max-len", "two"])
+    assert exc.value.code == 2
+    assert "invalid integer value: 'two'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("fst a x 0\nstate 0\nfst a x 0\n", "line 3: duplicate header"),
+        ("fst a x\nstate 0\n", "line 1: bad header"),
+        ("fst a x 0\nstate 0 final\n", "line 2: bad state flag"),
+        ("fst a x 0\nstate 0\nstate 1\ntrans 0 a 1\n", "line 4: bad transition"),
+        ("fst a x 0\nstate 0\nstate one\n", "line 3: invalid literal for int"),
+        ("fst a-b x 0\nstate 0\n", "line 1: '-' inside an alphabet"),
+        ("state 0 accept\ntrans 0 a 0 x\n", "missing fst header line"),
+    ],
+    ids=["duplicate-header", "header-fields", "state-flag", "transition-fields",
+         "non-integer-id", "dash-in-alphabet", "missing-header"],
+)
+def test_parse_machine_names_the_line_it_refuses(text, message):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse_machine(text)
+
+
+def test_parse_machine_skips_blank_lines():
+    machine, _ = parse_machine("\nfst a x 0\n\n   \nstate 0 accept\n\t\ntrans 0 a 0 x\n")
+    assert serialize_machine(machine) == serialize_machine(LOOP)
+
+
+def test_cmd_refuses_a_dash_inside_an_alphabet(tmp_path, capsys):
+    # '-' stands for an empty field only, so "a-b" is no alphabet of a, - and b
+    machine = tmp_path / "m.fst"
+    write(machine, "fst a-b xy 0\nstate 0 accept\ntrans 0 a 0 x\n")
+    assert main(["eval", str(machine), "--input", "a"]) == 2
+    assert main(["check", str(machine), "--functional"]) == 2
+    assert capsys.readouterr().err.count("line 1: '-' inside an alphabet") == 2
 
 
 def test_brute_force_checks_take_words_longer_than_the_recursion_limit(tmp_path, capsys):
