@@ -109,7 +109,13 @@ def unify_paths(
     equalize outputs position by position with push-backs and schedule every
     state pair for merging.  The sides start at one common class, which need
     not be the initial class.  Sets ``session.failure`` and returns False
-    when unification is illegal."""
+    when unification is illegal.
+
+    Every position is compared again at the end.  A push-back rewrites every
+    edge into and out of its target, so on a cyclic base it can undo an
+    earlier position on one side only: when that side already entered the
+    target by the same edge (``test_merge`` pins such a witness).  No learn
+    from a prefix tree has been seen to reach this check."""
     view = session.view
     find, out = view.find, view.out
 

@@ -493,6 +493,11 @@ def test_witness_with_identical_paths_is_an_invariant_error():
         AmbiguousPathPair(path, path)
 
 
+def test_witness_paths_of_different_inputs_are_an_invariant_error():
+    with pytest.raises(InvariantError, match="different inputs"):
+        AmbiguousPathPair(Path((Transition(0, "a", 1, "x"),)), Path((Transition(0, "b", 1, "x"),)))
+
+
 def _quotient_path(view, keys):
     return Path(tuple(
         Transition(view.find(k[0]), k[1], view.find(k[2]), view.out(k)) for k in keys))

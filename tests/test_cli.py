@@ -87,6 +87,10 @@ def test_sample_duplicate_conflict():
         infer(pairs)
 
 
+def test_sample_parser_skips_blank_lines():
+    assert parse_samples("a\tx\n\nb\ty\n") == [("a", "x"), ("b", "y")]
+
+
 def test_sample_bad_line():
     with pytest.raises(FormatError):
         parse_samples("no tab here\n")

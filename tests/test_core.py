@@ -14,6 +14,7 @@ import pytest
 from fstlearn.core import (
     Transducer,
     Transition,
+    Violation,
     configuration_after,
     renumber,
     transduce,
@@ -379,6 +380,25 @@ def test_validate_duplicate_triple():
     t = Transducer([0, 1], "a", "xy", 0, [1], [(0, "a", 1, "x"), (0, "a", 1, "y")])
     kinds = [v.kind for v in validate(t)]
     assert "delta" in kinds
+
+
+def test_validate_names_what_lies_outside_the_machine():
+    cases = [
+        (2, [(0, "a", 1, "x")], Violation("initial", "initial state 2 not in states")),
+        (0, [(2, "a", 1, "x")], Violation("endpoint", "source 2 not in states")),
+        (0, [(0, "a", 1, "y")], Violation("alphabet", "output character 'y' not in output alphabet")),
+    ]
+    for initial, transitions, violation in cases:
+        assert validate(Transducer([0, 1], "a", "x", initial, [1], transitions)) == [violation]
+
+
+def test_a_machine_is_an_immutable_value():
+    t = Transducer([0, 1], "a", "x", 0, [1], [(0, "a", 1, "x")])
+    with pytest.raises(AttributeError, match="immutable"):
+        t.initial = 1
+    assert t.initial == 0
+    assert t.__eq__(t.transitions) is NotImplemented and t != t.transitions
+    assert repr(t) == "Transducer(states=2, transitions=1, accepting=[1])"
 
 
 def test_validate_alphabet_violation():

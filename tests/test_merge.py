@@ -213,6 +213,15 @@ def test_pushback_simple():
     assert session.push_backs == 1
 
 
+def test_pushback_of_a_suffix_the_output_lacks_is_an_invariant_error():
+    t = Transducer([0, 1, 2], "ab", "xyz", 0, [2], [(0, "a", 1, "xy"), (1, "b", 2, "z")])
+    session = open_session(QuotientView(t), 0, 0)
+    session.pending.clear()
+    with pytest.raises(InvariantError, match="push-back of 'x' off output 'xy'"):
+        push_back(session, (0, "a", 1), "x")
+    assert session.view.out((0, "a", 1)) == "xy" and session.push_backs == 0
+
+
 def test_pushback_empty_suffix_is_noop():
     t = Transducer([0, 1], "a", "x", 0, [1], [(0, "a", 1, "x")])
     session = open_session(QuotientView(t), 0, 0)
@@ -284,6 +293,34 @@ def test_a_push_back_that_prefixes_the_other_sides_edge_is_a_conflict(monkeypatc
     model = infer(samples)
     assert (OUTPUT_CONFLICT, "x", "xx") in conflicts
     assert all(transduce(model.machine, w) == {o} for w, o in samples)
+
+
+def test_a_push_back_that_undoes_an_earlier_position_is_a_conflict(monkeypatch):
+    # On this cyclic base, side a of the session's witness goes round the
+    # cycle 0 -a-> 1 -b-> 0 and enters class 1 twice by its one incoming edge,
+    # while side b takes 0 -a-> 2 -b-> 3 -a-> 4.  At the second entry "xy"
+    # meets "x": cutting "y" off the edge into 1 also cuts side a's first
+    # edge, which agreed with side b's when it was read, and prefixes its
+    # second.  Only the closing re-check of unify_paths sees it.
+    t = Transducer(range(7), "abc", "wxyz", 0, [5, 6], [
+        (0, "a", 1, "xy"), (1, "b", 0, "z"), (1, "c", 5, "w"),
+        (0, "a", 2, "xy"), (2, "b", 3, "z"), (3, "a", 4, "x"), (4, "c", 6, "yw")])
+    view = QuotientView(t)
+    session = open_session(view, 5, 6)
+    real_unify_paths = merge_module.unify_paths
+    witnesses = []
+
+    def spy(session, raw_a, raw_b):
+        witnesses.append((list(raw_a), list(raw_b)))
+        return real_unify_paths(session, raw_a, raw_b)
+
+    monkeypatch.setattr(merge_module, "unify_paths", spy)
+    assert not run_session(session)
+    assert witnesses == [([(0, "a", 1), (1, "b", 0), (0, "a", 1), (1, "c", 5)],
+                          [(0, "a", 2), (2, "b", 3), (3, "a", 4), (4, "c", 6)])]
+    assert session.failure == OUTPUT_CONFLICT and session.push_backs == 1
+    assert [[view.out(key) for key in side] for side in witnesses[0]] == [
+        ["x", "yz", "x", "yw"], ["xy", "z", "x", "yw"]]
 
 
 # -- one view across attempts --------------------------------------------------

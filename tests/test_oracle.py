@@ -80,7 +80,8 @@ def test_equivalence_with_trim():
 
 def test_functional_check_deterministic():
     t = Transducer([0, 1], "ab", "xy", 0, [0, 1], [(0, "a", 1, "x"), (1, "b", 0, "y")])
-    assert check_functional_up_to(t, 6).verdict
+    report = check_functional_up_to(t, 6)
+    assert report.verdict and report
 
 
 def test_functional_check_counterexample():
@@ -88,7 +89,7 @@ def test_functional_check_counterexample():
         [0, 1, 2], "a", "xy", 0, [1, 2], [(0, "a", 1, "x"), (0, "a", 2, "y")]
     )
     report = check_functional_up_to(t, 6)
-    assert not report.verdict
+    assert not report.verdict and not report
     assert report.counterexample[0] == "a"
 
 

@@ -114,6 +114,12 @@ def test_totalize_rejects_used_symbol():
         totalize(t, "#")
 
 
+def test_totalize_rejects_a_reject_string_of_two_characters():
+    t = Transducer([0], "a", "x", 0, [0], [(0, "a", 0, "x")])
+    with pytest.raises(ConfigurationError, match="single character"):
+        totalize(t, "##")
+
+
 def test_totalize_random_functional_machines():
     rng = random.Random(5)
     done = 0
