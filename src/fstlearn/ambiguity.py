@@ -14,12 +14,12 @@ date, and reads the raw transitions into a class through its members.  Every
 class has an edge list from the moment the view opens.  A union joins the
 lists of the two classes into the surviving one's and marks it stale, along
 with the list of every class with an edge into the one folded away; a stale
-list is re-keyed to the current classes when it is next read.  A batch of
-output writes, which only a push-back makes, rewrites the entries of each
-written edge's source class in place and leaves its stale mark as it is: a
-push-back keeps every list's order and fused groups (see below).  Unions and
-output writes go only through the view's ``union`` and ``set_outs``, so no
-list outlives the facts it was built from, and the view can undo them all
+list is re-keyed to the current classes when it is next read.  A push-back,
+the view's one output write, rewrites the entries of each written edge's
+source class in place and leaves its stale mark as it is: it keeps every
+list's order and fused groups (see below).  Unions and output writes go only
+through the view's ``union`` and ``push_back``, so no list outlives the facts
+it was built from, and the view can undo them all
 (``QuotientView.rollback``), so one view serves a learner's every merge
 attempt.
 
@@ -50,14 +50,15 @@ same pairs with the same back-pointers and appends the same events.  None of
 those pairs holds the folded-away class, since only an expansion that follows
 an edge into it can discover one.  ``merge_update`` cuts the search back to
 that expansion, and the events are read again from the first, as after a
-restart.  A push-back needs no cut: it only runs when its target class has
-one incoming quotient edge, so the edge it rewrites is the only one of its
-class with that symbol and destination, and it prepends one string to every
-output leaving the target, which keeps any two of those outputs equal or in
-the order they were.  Neither changes the order of an edge list, which edges
-it folds together, or their representative raw keys: every raw key into the
-target stands for the one edge it rewrites and takes one output, and every
-member arc out of the target takes the same prefix.
+restart.  A push-back needs no cut: ``QuotientView.push_back`` refuses one
+whose target class has more than one incoming quotient edge, so the edge it
+rewrites is the only one of its class with that symbol and destination, and
+it prepends one string to every output leaving the target, which keeps any
+two of those outputs equal or in the order they were.  Neither changes the
+order of an edge list, which edges it folds together, or their
+representative raw keys: every raw key into the target stands for the one
+edge it rewrites and takes one output, and every member arc out of the
+target takes the same prefix.
 
 Why a kept reconverge event still holds two quotient edges.  Its two edges
 are distinct entries of the edge lists of its pair's classes, with one symbol
@@ -121,8 +122,8 @@ class QuotientView:
     never changes.  It answers ``incoming_edges`` and gives a push-back the
     raw keys it rewrites; ``union`` reads the index the same way, inline on
     its hot path, to find the classes it marks stale.  Every change goes
-    through ``union`` or ``set_outs``, which keep two per-class facts current
-    instead of recomputing them on each call:
+    through ``union`` or ``push_back``, the one output write, which keep two
+    per-class facts current instead of recomputing them on each call:
 
     - the sorted edge list of ``edges_from``.  Every class has one: a state's
       starts as its run of the base machine's sorted transitions, read in the
@@ -133,10 +134,10 @@ class QuotientView:
       class, keeps the least raw key of each group of equal edges, and sorts.
       A union never changes an output, and the least key of a merged group is
       the least of the groups' least keys, so this equals a build from the
-      members.  ``set_outs`` writes the new outputs into the entries of each
+      members.  ``push_back`` writes the new outputs into the entries of each
       written class's list, once per call, and leaves its stale mark as it is:
-      a push-back's writes keep every group of equal edges equal, so the key
-      that stands for a group still does, and keep each sorted list in order.
+      its writes keep every group of equal edges equal, so the key that
+      stands for a group still does, and keep each sorted list in order.
     - the set of accepting classes, updated by ``union``.
 
     Rollback.  ``rollback`` returns the view to its state when it was built
@@ -144,7 +145,7 @@ class QuotientView:
     then permanent.  For this the view saves, before the first change since
     then to each class's facts, five fields: the class's edge list and stale
     mark, its ``members`` list and that list's length, and whether it
-    accepts; ``set_outs`` saves the output each key had before its first
+    accepts; ``push_back`` saves the output each key had before its first
     write, which ``rollback`` writes back into ``outs``.  Between two calls a
     member list only grows in place, so its saved length restores it.
     ``union`` finds the classes it changes before it changes any, and saves
@@ -217,23 +218,51 @@ class QuotientView:
                 touched.update(find(src) for src, _, _ in self.incoming_keys(keep))
         return touched
 
-    def set_outs(self, writes: dict[RawKey, str]) -> None:
-        """Record new outputs for raw transitions, then write them into the
-        entries of each written class's edge list once.
+    def push_back(self, raw_key: RawKey, suffix: str) -> bool:
+        """The view's one output write: cut ``suffix`` off the quotient edge
+        that ``raw_key`` stands for and prepend it to every output leaving the
+        key's target class, saving the old outputs for ``rollback``.  True
+        when applied, and for an empty suffix, which changes nothing; a
+        suffix the output lacks raises ``InvariantError``.
 
-        Precondition: the writes keep equal edges equal and unequal ones
-        unequal, and each sorted list in order.  A push-back's writes meet
-        it (see the module docstring); then a sorted list stays sorted and
-        fused, a stale list stays stale, and every raw key that a list
-        fused away takes the output of the entry that stands for it."""
+        Refused, with False, when the target accepts, holds the base
+        machine's initial state, or has more than one incoming quotient edge.
+        A push-back into the initial class would prepend ``suffix`` to every
+        output of the machine: a run starts in that class without taking an
+        edge that the push-back cuts.  With one incoming quotient edge, the
+        writes keep equal edges equal and unequal ones unequal, and each
+        sorted list in order (see the module docstring), so they go into the
+        entries of each written class's edge list in place: a sorted list
+        stays sorted and fused, a stale list stays stale, and every raw key
+        that a list fused away takes the output of the entry that stands for
+        it."""
+        if suffix == "":
+            return True
         outs, saved_out, edges = self.outs, self._saved_out, self._edges
-        for key, out in writes.items():
+        out = outs[raw_key]
+        if not out.endswith(suffix):
+            raise InvariantError(f"push-back of {suffix!r} off output {out!r}")
+        target = self.find(raw_key[2])
+        if target in self._accepting or target == self.initial_class():
+            return False
+        if len(self.incoming_edges(target)) != 1:
+            return False
+        # that one quotient edge is raw_key's, so every raw key into the target
+        # stands for it.  On a prefix-tree base it comes from outside the target,
+        # which does not hold the root; on another, a self-loop is cut, then prefixed
+        writes = dict.fromkeys(self.incoming_keys(target), out[: -len(suffix)])
+        for member in self.members[target]:
+            for sym, dst, _ in self.base.arcs_from(member):
+                key = (member, sym, dst)
+                writes[key] = suffix + writes.get(key, outs[key])
+        for key, new in writes.items():
             saved_out.setdefault(key, outs[key])
-            outs[key] = out
+            outs[key] = new
         for cls in {self.find(key[0]) for key in writes}:
             if cls not in self._saved:
                 self._save(cls)
             edges[cls] = tuple((sym, dst, outs[key], key) for sym, dst, _, key in edges[cls])
+        return True
 
     def changed(self) -> list[int]:
         """The surviving classes changed since the last ``keep`` or ``rollback``."""
@@ -371,18 +400,6 @@ class PairSearchState:
         self._marks.append((len(self._keys), len(self.events)))
         steps = self._expansion(pair)
         self._paused = steps if next(steps, False) else None
-
-    def _advance(self) -> bool:
-        """Run the search on to its next event or to the end of a pair's
-        expansion; False when it is explored to the end."""
-        if self._paused is not None:
-            if not next(self._paused, False):
-                self._paused = None
-        elif len(self._marks) < len(self._keys):
-            self.expand_one()
-        else:
-            return False
-        return True
 
     def _expansion(self, pair):
         """Every same-symbol edge pair of ``pair``'s classes, in edge order;
@@ -539,7 +556,9 @@ class PairSearchState:
         """Consume events (expanding as needed) until a valid witness, as the
         raw keys of its two sides, or exhaustion.  The sides start where the
         two runs fork: at a common class that one raw path reaches from the
-        initial class, not necessarily the initial class itself."""
+        initial class, not necessarily the initial class itself.  Between
+        two reads of the events, the search runs on to its next event or to
+        the end of a pair's expansion."""
         while True:
             while self._cursor < len(self.events):
                 event = self.events[self._cursor]
@@ -547,7 +566,12 @@ class PairSearchState:
                 witness = self._build_witness(event)
                 if witness is not None:
                     return witness
-            if not self._advance():
+            if self._paused is not None:
+                if not next(self._paused, False):
+                    self._paused = None
+            elif len(self._marks) < len(self._keys):
+                self.expand_one()
+            else:
                 return None
 
 

@@ -63,7 +63,7 @@ def serialize_machine(t: Transducer, epsilon_output: Optional[str] = None) -> st
 
 
 def parse_machine(text: str) -> tuple[Transducer, Optional[str]]:
-    states: list[int] = []
+    states: set[int] = set()
     accepting: list[int] = []
     transitions: list[tuple] = []
     header = None
@@ -85,11 +85,14 @@ def parse_machine(text: str) -> tuple[Transducer, Optional[str]]:
             elif fields[0] == "state":
                 if len(fields) not in (2, 3):
                     raise FormatError(f"line {lineno}: bad state")
-                states.append(int(fields[1]))
+                state = int(fields[1])
+                if state in states:
+                    raise FormatError(f"line {lineno}: duplicate state {state}")
+                states.add(state)
                 if len(fields) > 2:
                     if fields[2] != "accept":
                         raise FormatError(f"line {lineno}: bad state flag")
-                    accepting.append(int(fields[1]))
+                    accepting.append(state)
             elif fields[0] == "trans":
                 if len(fields) != 5:
                     raise FormatError(f"line {lineno}: bad transition")

@@ -23,16 +23,18 @@ Why a session ends.  On a prefix-tree base with states Q, built from samples
   classes.
 - Push-backs per session are at most Σ|w|·|f(w)|.  Every tree edge lies on
   the path of some sample, since the tree grows a node only where a sample
-  runs, and each sample's path reads f(w) in the current outputs: a
-  push-back moves its suffix off every edge into its target class onto the
-  front of every edge out of it, and a sample's path that enters the class
-  leaves it again, since the class is not accepting, and does not start in
-  it, since the class does not hold the root.  Let Ψ be the sum, over the
-  samples, of the tree depth of the edge that carries each character of f(w)
-  on w's path.  A push-back moves the characters of its suffix one edge
-  deeper on every path through the edge it cuts, and there is at least one,
-  so it raises Ψ by at least 1; a union changes no output.  No edge of w's
-  path is deeper than |w|, so Ψ never exceeds Σ|w|·|f(w)|.
+  runs, and each sample's path reads f(w) in the current outputs.  Outputs
+  change only through ``QuotientView.push_back``, the view's one output
+  write, which moves its suffix off the one quotient edge into its target
+  class onto the front of every edge out of it.  It refuses a target that
+  accepts, holds the root or has more than one incoming quotient edge, so a
+  sample's path that enters the class leaves it again and does not start in
+  it.  Let Ψ be the sum, over the samples, of the tree depth of the edge
+  that carries each character of f(w) on w's path.  A push-back moves the
+  characters of its suffix one edge deeper on every path through the edge
+  it cuts, and there is at least one, so it raises Ψ by at least 1; a union
+  changes no output.  No edge of w's path is deeper than |w|, so Ψ never
+  exceeds Σ|w|·|f(w)|.
 
 So the witnesses of a session number at most its unions plus its push-backs
 plus one, the last, which ``unify_paths`` may reject.  This is the
@@ -66,40 +68,13 @@ class MergeSession:
     forced: int = 0  # unions made, the root pair's among them
     failure: Optional[str] = None
 
-    @property
-    def root_class(self) -> int:
-        return self.view.find(self.root)
-
 
 def push_back(session: MergeSession, raw_key: RawKey, suffix: str) -> bool:
-    """Cut ``suffix`` off the edge's output and prepend it to every outgoing
-    transition of the edge's target.  Refused when the target is accepting,
-    holds the base machine's initial state, or has more than one incoming
-    quotient edge.  A push-back into the initial class would prepend
-    ``suffix`` to every output of the hypothesis: a run starts in that class
-    without taking an edge that the push-back cuts."""
-    if suffix == "":
-        return True
-    view = session.view
-    out = view.out(raw_key)
-    if not out.endswith(suffix):
-        raise InvariantError(f"push-back of {suffix!r} off output {out!r}")
-    dst_cls = view.find(raw_key[2])
-    if view.class_accepting(dst_cls) or dst_cls == view.initial_class():
-        return False
-    if len(view.incoming_edges(dst_cls)) != 1:
-        return False
-    # that one quotient edge is raw_key's, so every raw key into the target
-    # stands for it.  On a prefix-tree base it comes from outside the target,
-    # which does not hold the root; on another, a self-loop is cut, then prefixed
-    writes = dict.fromkeys(view.incoming_keys(dst_cls), out[: -len(suffix)])
-    for member in view.members[dst_cls]:
-        for s, dst, _ in view.base.arcs_from(member):
-            key = (member, s, dst)
-            writes[key] = suffix + writes.get(key, view.out(key))
-    view.set_outs(writes)
-    session.push_backs += 1
-    return True
+    """``QuotientView.push_back`` on the session's view, counted in
+    ``session.push_backs`` when it changes an output."""
+    applied = session.view.push_back(raw_key, suffix)
+    session.push_backs += applied and suffix != ""
+    return applied
 
 
 def unify_paths(
@@ -127,7 +102,7 @@ def unify_paths(
     if all(ka == kb or edge(ka) == edge(kb) for ka, kb in zip(raw_a, raw_b)):
         raise InvariantError("witness paths are one quotient path")
     n = len(raw_a)
-    root_cls = session.root_class
+    root_cls = find(session.root)
     for k, (ka, kb) in enumerate(zip(raw_a, raw_b)):
         da, db = find(ka[2]), find(kb[2])
         if k < n - 1 and (da == root_cls) != (db == root_cls):

@@ -11,7 +11,7 @@ from fstlearn.ambiguity import find_ambiguity, square_reach
 from fstlearn.core import transduce, trim
 from fstlearn.infer import infer
 from fstlearn.oracle import (
-    accepting_paths,
+    check_ambiguous_up_to,
     check_functional_up_to,
     check_local_prefix_preservation_up_to,
     equivalent_up_to,
@@ -102,10 +102,7 @@ def test_criterion_4_ambiguity_oracle_agreement():
     for _ in range(100):
         t = random_machine(rng, max_states=5)
         witness = find_ambiguity(t, square_reach(t))
-        brute = any(
-            len(accepting_paths(t, w)) > 1
-            for w in words_up_to(t.input_alphabet, 6)
-        )
+        brute = not check_ambiguous_up_to(t, 6).verdict
         if (witness is not None) != brute:
             report(
                 "4 (ambiguity oracle agreement)",

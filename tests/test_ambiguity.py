@@ -16,7 +16,7 @@ from fstlearn.core import Path, Transducer, Transition, transduce, trim, validat
 from fstlearn.errors import InvariantError
 from fstlearn.infer import infer
 from fstlearn.merge import open_session, push_back, run_session
-from fstlearn.oracle import accepting_paths, check_ambiguous_up_to, words_up_to
+from fstlearn.oracle import check_ambiguous_up_to, words_up_to
 from fstlearn.ptree import build_prefix_tree
 
 from machines import random_machine
@@ -243,17 +243,13 @@ def _samples_of(t, max_len):
 
 
 def _view_after(base, unions, outs):
-    """A view of ``base`` that makes ``unions`` and then writes ``outs``.
-
-    No list of it has been read, so none has fused a group of equal edges:
-    a list that a union marked stale holds every raw arc of its class, and
-    any other is one state's run, sorted by symbol and destination alone.
-    So any writes keep equal edges equal and each sorted list in order, as
-    ``set_outs`` requires, and the view reads as one built from scratch."""
-    view = QuotientView(base)
+    """A fresh view of ``base`` with its outputs replaced by ``outs``, a map
+    from every raw key, that makes ``unions``."""
+    transitions = [(src, sym, dst, outs[src, sym, dst]) for src, sym, dst, _ in base.transitions]
+    view = QuotientView(Transducer(base.states, base.input_alphabet, base.output_alphabet,
+                                   base.initial, base.accepting, transitions))
     for a, b in unions:
         view.union(a, b)
-    view.set_outs(outs)
     return view
 
 
@@ -365,7 +361,7 @@ def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
             session = open_session(QuotientView(base), states[0], states[0])
             view = session.view
             keys = [(tr.src, tr.symbol, tr.dst) for tr in base.transitions]
-            kept, unions, kept_outs = [], [], {}
+            kept, unions, kept_outs = [], [], dict(view.outs)
             for _ in range(24):
                 step = rng.random()
                 if step < 0.4 and len(states) > 1:
@@ -469,19 +465,13 @@ def test_pair_search_reads_edge_pairs_in_product_scan_order():
     assert self_pairs >= 100
 
 
-def brute_force_ambiguous(t: Transducer, max_len: int) -> bool:
-    return any(
-        len(accepting_paths(t, w)) > 1 for w in words_up_to(t.input_alphabet, max_len)
-    )
-
-
 def test_oracle_agreement_on_random_machines():
     rng = random.Random(53)
     agree = 0
     for _ in range(100):
         t = random_machine(rng, max_states=5)
         verdict = find_ambiguity(t, square_reach(t)) is None
-        brute = not brute_force_ambiguous(t, 2 * len(t.states))
+        brute = check_ambiguous_up_to(t, 2 * len(t.states)).verdict
         assert verdict == brute, t
         agree += 1
     assert agree == 100

@@ -464,13 +464,14 @@ def test_cmd_rejects_a_bound_that_is_no_integer(capsys):
         ("fst a x 0\nstate 0\nfst a x 0\n", "line 3: duplicate header"),
         ("fst a x\nstate 0\n", "line 1: bad header"),
         ("fst a x 0\nstate 0 final\n", "line 2: bad state flag"),
+        ("fst a x 0\nstate 0\nstate 0 accept\n", "line 3: duplicate state 0"),
         ("fst a x 0\nstate 0\nstate 1\ntrans 0 a 1\n", "line 4: bad transition"),
         ("fst a x 0\nstate 0\nstate one\n", "line 3: invalid literal for int"),
         ("fst a-b x 0\nstate 0\n", "line 1: '-' inside an alphabet"),
         ("state 0 accept\ntrans 0 a 0 x\n", "missing fst header line"),
     ],
-    ids=["duplicate-header", "header-fields", "state-flag", "transition-fields",
-         "non-integer-id", "dash-in-alphabet", "missing-header"],
+    ids=["duplicate-header", "header-fields", "state-flag", "duplicate-state",
+         "transition-fields", "non-integer-id", "dash-in-alphabet", "missing-header"],
 )
 def test_parse_machine_names_the_line_it_refuses(text, message):
     with pytest.raises(FormatError, match=re.escape(message)):

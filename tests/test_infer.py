@@ -211,6 +211,23 @@ def test_one_merge_pass_leaves_four_parity_states():
         assert equivalent_up_to(PARITY_HASH, model.machine, length + 2).verdict
 
 
+def test_the_inner_loop_stops_at_the_outer_state_id_not_its_position():
+    # ROADMAP item 3, step 1: the inner loop stops at the first state whose id
+    # is not smaller than the outer state's, not at the outer state's position
+    # in state_order.  State 2 precedes state 1 in the order and survives its
+    # own attempt, yet (2, 1) is never tried; the fix that stops at the
+    # position updates this pin on purpose
+    target = dict((name, t) for name, t, _ in BATTERY)["nondet_reject"]
+    informant = generate_informant(target, 6)
+    _, prefixes = build_prefix_tree(split_epsilon(informant)[0])
+    assert state_order(prefixes)[:4] == [0, 2, 1, 3]
+    attempts = []
+    infer(informant, trace=attempts.append)
+    assert [(a["pair"], a["kind"]) for a in attempts[:6]] == [
+        (pair, "merge_rejected") for pair in [(0, 2), (0, 1), (0, 3), (2, 3), (1, 3), (0, 4)]]
+    assert (2, 1) not in [a["pair"] for a in attempts]
+
+
 def test_learns_from_partial_informants_of_nondeterministic_targets_are_pinned():
     # Subsets of informants leave the learner free to merge where a full one
     # forbids it, so witness order, and with it every learned machine, shows
