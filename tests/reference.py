@@ -2,12 +2,13 @@
 
 Like ``fstlearn.oracle``, these are deliberately naive and share no code path
 with the learner: the pair derivative of a sample, the star machine with
-one arm per sample pair, the pair search after a list of unions, the same
-search by a plain product scan of each pair's edges, a class's edge list by
-a scan of the base machine's transitions, the configurations of a word
-by the plain fold that ``core.configuration_after`` normalises, a learner that
-enumerates every machine structure and solves its outputs, and the first
-bounded LPP check, against which the oracle's faster one is cross-checked.
+one arm per sample pair, the pair search after a list of unions, run to its
+end without reading its events, the same search by a plain product scan of
+each pair's edges, a class's edge list by a scan of the base machine's
+transitions, the configurations of a word by the plain fold that
+``core.configuration_after`` normalises, a learner that enumerates every
+machine structure and solves its outputs, and the first bounded LPP check,
+against which the oracle's faster one is cross-checked.
 """
 
 from typing import Iterable, Optional
@@ -59,6 +60,19 @@ def build_star(s: dict) -> Transducer:
     return Transducer(range(next_state), sigma, gamma, 0, accepting, transitions)
 
 
+def explore(st: PairSearchState) -> None:
+    """Run the search ``st`` to the end without reading its events: finish
+    the paused expansion, then start each later one and run it to its end."""
+    while True:
+        if st._paused is not None:
+            for _ in st._paused:
+                pass
+            st._paused = None
+        if len(st._marks) == len(st._keys):
+            return
+        st.expand_one()
+
+
 def square_reach_after(t: Transducer, unions: Iterable[tuple[int, int]]) -> PairSearchState:
     """Fully explored pair search over ``t`` after merging each (a, b) pair
     of states in ``unions``, in order; its view keeps those unions
@@ -67,7 +81,7 @@ def square_reach_after(t: Transducer, unions: Iterable[tuple[int, int]]) -> Pair
     for a, b in unions:
         view.union(a, b)
     st = PairSearchState(view)
-    st.explore()
+    explore(st)
     view.keep()
     return st
 

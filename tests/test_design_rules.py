@@ -13,9 +13,6 @@ LIB, BENCH, TESTS = "src/fstlearn/", "perfbench/", "tests/"
 INIT = LIB + "__init__.py"
 # "cache" alone is a common word, so it counts only read off functools
 CACHES = {"lru_cache", "cached_property"}
-# The one exception: find_ambiguity's t, which the benchmark's worker passes,
-# and which goes when the benchmark changes (ROADMAP item 1)
-ALLOWED_UNUSED = {("src/fstlearn/ambiguity.py", "find_ambiguity", "t")}
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +119,7 @@ def no_unused_parameters(trees):
             named = {n.id for stmt in f.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
             found += [f"{p}:{f.lineno}: {f.name}({arg.arg})"
                       for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-                      if arg is not None and arg.arg not in named
-                      and (p, f.name, arg.arg) not in ALLOWED_UNUSED]
+                      if arg is not None and arg.arg not in named]
     return found
 
 
